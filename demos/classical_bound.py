@@ -3,7 +3,7 @@
 Without entanglement the parties can only exchange two classical bits
 computed from their inputs (plus shared randomness, which never helps a
 convex objective).  This script evaluates the natural 12/16 baseline and
-then brute-forces every deterministic protocol -- all 16.8M simultaneous
+then searches every deterministic protocol exactly -- all 16.8M simultaneous
 ones and all 268M sequential ones -- to confirm nothing beats 12/16.
 """
 

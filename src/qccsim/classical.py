@@ -1,5 +1,5 @@
-"""Classical side of the game: the 3/4 baseline and an exhaustive search
-over all deterministic two-bit protocols.
+"""Classical side of the game: the 3/4 baseline and an exact search over
+all deterministic two-bit protocols.
 
 A deterministic protocol is four lookup tables: each party's message as a
 function of its input, and each party's output as a function of its input
@@ -8,6 +8,9 @@ and the bit it received.  Two message orderings are covered:
 * ``simultaneous`` -- both messages depend only on the sender's input;
 * ``sequential``   -- Alice sends first and Bob's message may also depend
   on the bit he received from her.
+
+The search never tries Alice's output tables one by one: against fixed
+messages and Bob's outputs her best table is a per-cell majority vote.
 
 Shared randomness is a convex mixture of deterministic protocols, so the
 deterministic maximum found by the search bounds randomized protocols too.
@@ -18,8 +21,6 @@ never passes through floating point.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -28,22 +29,8 @@ import numpy as np
 
 MODE_SIMULTANEOUS = "simultaneous"
 MODE_SEQUENTIAL = "sequential"
-WORKERS_ENV_VAR = "QCCSIM_WORKERS"
 
 N_INPUT_PAIRS = 16
-
-# Input pairs enumerated x-major: index k = 4*x + y.
-_XS = np.arange(16) >> 2
-_YS = np.arange(16) & 3
-_F = ((_XS >> 1) ^ (_YS >> 1) ^ ((_XS & 1) & (_YS & 1))).astype(np.uint32)
-
-# Popcount over 16-bit success masks.
-_POPCOUNT = (
-    np.unpackbits(np.arange(1 << 16, dtype=">u2").view(np.uint8))
-    .reshape(-1, 16)
-    .sum(axis=1)
-    .astype(np.uint8)
-)
 
 
 @dataclass(frozen=True)
@@ -128,47 +115,59 @@ def evaluate_protocol(p: DeterministicProtocol) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration.  Message tables are encoded as integers (bit x of
-# ``ma`` is Alice's message on input x, and so on); output tables as 8-bit
-# integers with bit (2*input + received).  For fixed message tables, each
-# 8-bit output table yields a 16-bit mask of inputs where that party is
-# correct, and the joint success count is the popcount of the AND of the two
-# masks -- evaluated for all 256 x 256 output-table pairs at once.
+# Exact search.  Tables are encoded as integers: bit x of ``ma``, bit y (or
+# 2*y + received, sequential) of ``mb``, bit 2*input + received of the output
+# tables ``oa`` and ``ob``.  With ``ma``, ``mb`` and ``ob`` fixed, each of
+# Alice's cells (x, received) covers its own input pairs, so her best table is
+# the per-cell majority of the target over the pairs where Bob is right.  At
+# input x she receives a 4-bit pattern over y: ``mb`` itself (simultaneous),
+# or the even bits of ``mb`` where she sent 0 and its odd bits where she sent
+# 1 (sequential).  The best count is then a sum of small integer tables.
 
 
-def _masks_for_cells(cells: np.ndarray) -> np.ndarray:
-    """16-bit correctness mask for each of the 256 output tables.
+def _cell_scores() -> np.ndarray:
+    """``score[x, a, p, ob]``: pairs (x, y) won when Alice, having sent ``a`` at
+    input x and received pattern ``p``, plays her majority bits against ``ob``."""
+    x = np.arange(4)[:, None, None, None]
+    a = np.arange(2)[None, :, None, None]
+    y = np.arange(4)[None, None, :, None]
+    ob = np.arange(256)
+    f = (x >> 1) ^ (y >> 1) ^ (x & y & 1)
+    bob_right = ((ob >> (2 * y + a)) & 1) == f
+    received = (np.arange(16)[:, None] >> np.arange(4)) & 1  # [p, y]
+    wins = [(bob_right & (f == bit)).astype(np.int64) for bit in (0, 1)]  # [x, a, y, ob]
+    in_one = [received @ w for w in wins]  # [x, a, p, ob], in the cell where she received 1
+    in_zero = [w.sum(axis=2, keepdims=True) - c for w, c in zip(wins, in_one)]
+    return (np.maximum(*in_one) + np.maximum(*in_zero)).astype(np.uint8)
 
-    ``cells[k]`` is the table cell consulted at input pair k; bit k of the
-    mask is set when the table's bit there equals the target value.
-    """
-    tables = np.arange(256, dtype=np.uint32)[:, None]
-    ok = ((tables >> cells[None, :]) & 1) == _F[None, :]
-    return (ok.astype(np.uint32) << np.arange(16, dtype=np.uint32)[None, :]).sum(axis=1)
+
+def _received_patterns(mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's received pattern for every ``mb``, where she sent 0 and where she sent 1."""
+    if mode == MODE_SIMULTANEOUS:
+        return np.arange(16), np.arange(16)
+    mb, y = np.arange(256)[:, None], np.arange(4)
+    even, odd = ((((mb >> (2 * y + a)) & 1) << y).sum(axis=1) for a in (0, 1))
+    return even, odd
 
 
-def _bob_out_masks(ma: int) -> np.ndarray:
-    return _masks_for_cells(2 * _YS + ((ma >> _XS) & 1))
+def _best_counts(score: np.ndarray, patterns: tuple[np.ndarray, np.ndarray], ma: int) -> np.ndarray:
+    """``counts[mb, ob]``: the best success count over Alice's output tables."""
+    sent = (ma >> np.arange(4)) & 1
+    g0, g1 = (score[sent == a, a].sum(axis=0, dtype=np.uint8) for a in (0, 1))
+    return g0[patterns[0]] + g1[patterns[1]]
 
 
-def _best_for_alice_msg(args: tuple[str, int]) -> tuple[int, int, int, int, int]:
-    """Best (count, ma, mb, out_a, out_b) over all tables with Alice message ``ma``."""
-    mode, ma = args
-    mask_bob = _bob_out_masks(ma)
-    mb_range = range(16) if mode == MODE_SIMULTANEOUS else range(256)
-    best = (-1, ma, -1, -1, -1)
-    for mb in mb_range:
-        if mode == MODE_SIMULTANEOUS:
-            received_by_alice = (mb >> _YS) & 1
-        else:
-            received_by_alice = (mb >> (2 * _YS + ((ma >> _XS) & 1))) & 1
-        mask_alice = _masks_for_cells(2 * _XS + received_by_alice)
-        counts = _POPCOUNT[np.bitwise_and.outer(mask_alice, mask_bob).astype(np.uint16)]
-        top = int(counts.max())
-        if top > best[0]:
-            flat = int(counts.argmax())  # first maximum: smallest (out_a, out_b)
-            best = (top, ma, mb, flat >> 8, flat & 0xFF)
-    return best
+def _majority_out_alice(p: DeterministicProtocol) -> int:
+    """Alice's smallest best output table against the rest of ``p``: the
+    per-cell majority, with 0 on a tie."""
+    votes = [0] * 8  # per cell: pairs won by output 1 minus pairs won by output 0
+    for x in range(4):
+        for y in range(4):
+            run = run_protocol(p, x, y)
+            want = _target(x, y)
+            if run.out_bob == want:
+                votes[2 * x + run.msg_bob] += 2 * want - 1
+    return sum(1 << cell for cell, vote in enumerate(votes) if vote > 0)
 
 
 def _decode_witness(mode: str, ma: int, mb: int, oa: int, ob: int) -> DeterministicProtocol:
@@ -182,34 +181,31 @@ def _decode_witness(mode: str, ma: int, mb: int, oa: int, ob: int) -> Determinis
     )
 
 
-def enumerate_best(mode: str, workers: int | None = None) -> EnumerationResult:
-    """Scan every deterministic protocol in the given mode for the maximum.
+def enumerate_best(mode: str) -> EnumerationResult:
+    """Find the best deterministic protocol in the given mode, exactly.
 
-    Ties resolve to the lexicographically smallest encoding
-    (msg_alice, msg_bob, out_alice, out_bob), so the witness is
-    deterministic.  ``workers`` > 1 partitions the scan by Alice's message
-    table across processes with the same tie-break; defaults to the
-    QCCSIM_WORKERS environment variable, else sequential.
+    Alice's best output table is her per-cell majority, so the search covers
+    all 16 * n_mb * 256 * 256 protocols (n_mb = 16 simultaneous, 256
+    sequential) without evaluating each; ``protocols_examined`` reports that
+    number.  Ties resolve to the lexicographically smallest encoding
+    (msg_alice, msg_bob, out_alice, out_bob), so the witness is deterministic.
     """
     if mode not in (MODE_SIMULTANEOUS, MODE_SEQUENTIAL):
         raise ValueError(f"unknown mode {mode!r}")
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
 
-    jobs = [(mode, ma) for ma in range(16)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            candidates = list(pool.map(_best_for_alice_msg, jobs))
-    else:
-        candidates = [_best_for_alice_msg(job) for job in jobs]
-
-    best = min(candidates, key=lambda c: (-c[0], c[1], c[2], c[3], c[4]))
-    count = best[0]
-    n_mb = 16 if mode == MODE_SIMULTANEOUS else 256
+    score = _cell_scores()
+    patterns = _received_patterns(mode)
+    tops = [int(_best_counts(score, patterns, ma).max()) for ma in range(16)]
+    count = max(tops)
+    ma = tops.index(count)  # first maximum: smallest msg_alice
+    counts = _best_counts(score, patterns, ma)
+    mb = int(counts.argmax()) // 256  # first maximum in [mb, ob] order: smallest msg_bob
+    oa, ob = min((_majority_out_alice(_decode_witness(mode, ma, mb, 0, ob)), ob)
+                 for ob in map(int, np.flatnonzero(counts[mb] == count)))
     return EnumerationResult(
         best_success_count=count,
         best_probability=Fraction(count, N_INPUT_PAIRS),
-        witness=_decode_witness(mode, *best[1:]),
+        witness=_decode_witness(mode, ma, mb, oa, ob),
         mode=mode,
-        protocols_examined=16 * n_mb * 256 * 256,
+        protocols_examined=16 * len(patterns[0]) * 256 * 256,
     )

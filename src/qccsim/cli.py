@@ -67,6 +67,12 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
+def _emit_json(payload: dict, out_path: str | None) -> None:
+    # Strict JSON: a non-finite float raises ValueError (exit 2) instead of
+    # printing the non-standard tokens NaN or Infinity.
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", out_path)
+
+
 def _meta(command: str, args: argparse.Namespace, seed: int | None = None) -> dict:
     flags = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     return {"tool": "qccsim", "version": __version__, "command": command,
@@ -79,6 +85,17 @@ def _kv_report(fields: list[tuple[str, object]]) -> str:
         text = _fmt(value) if isinstance(value, float) else str(value)
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for real-valued flags: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _pair_from_flags(chi_deg: float | None, alpha: float | None, beta: float | None) -> SchmidtPair:
@@ -125,7 +142,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     ]
     if args.format == "json":
         payload = {"meta": _meta("exact", args), "record": {k: float(v) for k, v in fields}}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         _emit(_kv_report(fields), args.out)
     return 0
@@ -152,7 +169,7 @@ def cmd_optimal(args: argparse.Namespace) -> int:
     ]
     if args.format == "json":
         payload = {"meta": _meta("optimal", args), "record": {k: float(v) for k, v in fields}}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         _emit(_kv_report(fields), args.out)
     if discrepancy > OPTIMAL_DISCREPANCY_LIMIT:
@@ -218,7 +235,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "meta": _meta("sweep", args),
             "records": [{k: float(v) for k, v in vars(r).items()} for r in records],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         _emit(records_to_csv(records), args.out)
     return 0
@@ -253,9 +270,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     if args.format == "json":
         record = {k: (float(v) if isinstance(v, float) else v) for k, v in fields}
+        if math.isinf(z_score):
+            record["z_score"] = None  # unbounded: estimate off p_max with zero std_error
         record["per_input_counts"] = {k: list(v) for k, v in tallies.items()}
         payload = {"meta": _meta("simulate", args, seed=args.seed), "record": record}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         text = _kv_report(fields)
         for key, (successes, drawn) in tallies.items():
@@ -287,7 +306,7 @@ def cmd_classical(args: argparse.Namespace) -> int:
                 },
             },
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         bits = lambda table: "".join(str(b) for b in table)
         fields = [
@@ -320,28 +339,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("exact", help="success probabilities at given angles")
-    p.add_argument("--chi", type=float, default=None, help="state angle in degrees")
-    p.add_argument("--alpha", type=float, default=None, help="amplitude of |00> (alternative to --chi)")
-    p.add_argument("--beta", type=float, default=None, help="amplitude of |11> (alternative to --chi)")
-    p.add_argument("--phi1", type=float, default=0.0, help="rotation for low bit 0, radians")
-    p.add_argument("--phi2", type=float, default=0.0, help="rotation for low bit 1, radians")
+    p.add_argument("--chi", type=_finite_float, default=None, help="state angle in degrees")
+    p.add_argument("--alpha", type=_finite_float, default=None,
+                   help="amplitude of |00> (alternative to --chi)")
+    p.add_argument("--beta", type=_finite_float, default=None,
+                   help="amplitude of |11> (alternative to --chi)")
+    p.add_argument("--phi1", type=_finite_float, default=0.0,
+                   help="rotation for low bit 0, radians")
+    p.add_argument("--phi2", type=_finite_float, default=0.0,
+                   help="rotation for low bit 1, radians")
     add_output_flags(p, ("text", "json"), "text")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("optimal", help="optimal angles with numeric cross-check")
-    p.add_argument("--chi", type=float, required=True, help="state angle in degrees")
+    p.add_argument("--chi", type=_finite_float, required=True, help="state angle in degrees")
     add_output_flags(p, ("text", "json"), "text")
     p.set_defaults(func=cmd_optimal)
 
     p = sub.add_parser("sweep", help="theory curves over a range of states")
-    p.add_argument("--chi-start", type=float, required=True, help="degrees")
-    p.add_argument("--chi-end", type=float, required=True, help="degrees")
+    p.add_argument("--chi-start", type=_finite_float, required=True, help="degrees")
+    p.add_argument("--chi-end", type=_finite_float, required=True, help="degrees")
     p.add_argument("--steps", type=int, required=True)
     add_output_flags(p, ("csv", "json"), "csv")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo at the optimal angles")
-    p.add_argument("--chi", type=float, required=True, help="state angle in degrees")
+    p.add_argument("--chi", type=_finite_float, required=True, help="state angle in degrees")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     add_output_flags(p, ("text", "json"), "text")

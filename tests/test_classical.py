@@ -1,17 +1,28 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oracles import brute_force_best_simultaneous, brute_force_protocol_counts
 from qccsim.classical import (
     MODE_SEQUENTIAL,
     MODE_SIMULTANEOUS,
     DeterministicProtocol,
+    _best_counts,
+    _cell_scores,
+    _decode_witness,
+    _majority_out_alice,
+    _received_patterns,
     baseline_protocol,
     enumerate_best,
     evaluate_protocol,
     run_protocol,
 )
+
+
+def bits(table):
+    return "".join(map(str, table))
 
 
 def test_baseline_single_inputs():
@@ -83,21 +94,43 @@ def test_enumeration_sequential():
     assert result.best_probability == Fraction(3, 4)
     assert result.protocols_examined == 16 * 256 * 256 * 256
     assert evaluate_protocol(result.witness) == 12
+    witness = result.witness
+    assert bits(witness.msg_alice) == "1000"
+    assert bits(witness.msg_bob) == "11110000"
+    assert bits(witness.out_alice) == "10010101"
+    assert bits(witness.out_bob) == "10100101"
+
+
+def test_enumeration_simultaneous_matches_brute_force():
+    count, ma, mb, oa, ob = brute_force_best_simultaneous()
+    result = enumerate_best(MODE_SIMULTANEOUS)
+    assert result.best_success_count == count
+    assert result.witness == DeterministicProtocol(
+        mode=MODE_SIMULTANEOUS,
+        msg_alice=tuple((ma >> i) & 1 for i in range(4)),
+        msg_bob=tuple((mb >> i) & 1 for i in range(4)),
+        out_alice=tuple((oa >> i) & 1 for i in range(8)),
+        out_bob=tuple((ob >> i) & 1 for i in range(8)),
+    )
+
+
+def test_cell_wise_counts_match_brute_force_sequential():
+    score = _cell_scores()
+    patterns = _received_patterns(MODE_SEQUENTIAL)
+    rng = random.Random(20261018)
+    for _ in range(32):
+        ma, mb = rng.randrange(16), rng.randrange(256)
+        brute = brute_force_protocol_counts(True, ma, mb)
+        best = _best_counts(score, patterns, ma)[mb]
+        np.testing.assert_array_equal(best, brute.max(axis=0))
+        # the majority table with ties at 0 is the smallest best table for each ob
+        for ob in rng.sample(range(256), 8):
+            protocol = _decode_witness(MODE_SEQUENTIAL, ma, mb, 0, ob)
+            assert _majority_out_alice(protocol) == int(brute[:, ob].argmax())
 
 
 def test_enumeration_witness_is_deterministic():
     assert enumerate_best(MODE_SIMULTANEOUS) == enumerate_best(MODE_SIMULTANEOUS)
-
-
-def test_enumeration_parallel_matches_sequential():
-    assert enumerate_best(MODE_SIMULTANEOUS, workers=2) == enumerate_best(
-        MODE_SIMULTANEOUS, workers=1
-    )
-
-
-def test_enumeration_workers_env_var(monkeypatch):
-    monkeypatch.setenv("QCCSIM_WORKERS", "2")
-    assert enumerate_best(MODE_SIMULTANEOUS) == enumerate_best(MODE_SIMULTANEOUS, workers=1)
 
 
 def test_enumeration_rejects_unknown_mode():

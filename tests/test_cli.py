@@ -91,6 +91,17 @@ def test_exact_rejects_out_of_domain_chi(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_exact_rejects_non_finite_angles(value, capsys):
+    for flag in ("--phi1", "--phi2"):
+        # "--flag=value": a bare "-inf" would be read as an option name
+        code, out, err = run_cli(["exact", "--chi", "-10", "--format", "json", f"{flag}={value}"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
 def test_exact_json(capsys):
     code, out, _ = run_cli(["exact", "--chi", "-45", "--format", "json"], capsys)
     assert code == 0
@@ -238,6 +249,19 @@ def test_simulate_json(capsys):
     counts = payload["record"]["per_input_counts"]
     assert set(counts) == {"00", "01", "10", "11"}
     assert sum(n for _, n in counts.values()) == 1000
+
+
+def test_simulate_json_is_strict_for_unbounded_z(capsys):
+    # one trial scores 0 or 1 with zero std_error, never the exact 3/4
+    code, out, _ = run_cli(["simulate", "--chi", "0", "--trials", "1", "--format", "json"], capsys)
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    record = json.loads(out, parse_constant=reject)["record"]
+    assert record["std_error"] == 0.0
+    assert record["z_score"] is None
 
 
 # --- classical ---------------------------------------------------------------
