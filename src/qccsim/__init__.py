@@ -6,13 +6,9 @@ __version__ = "0.1.0"
 from .state import (
     OutcomePair,
     SchmidtPair,
-    TwoQubitState,
-    apply_local_rotations,
-    as_state,
     epr_state,
     make_shared_state,
-    measurement_distribution,
-    rotate_qubit,
+    rotated_amplitudes,
     sample_outcome,
 )
 from .protocol import (
@@ -21,15 +17,13 @@ from .protocol import (
     MonteCarloResult,
     PerInputReport,
     Transcript,
-    angle_for,
     closed_form_p,
     exact_success_probability,
     monte_carlo,
-    per_input_success,
     run_once,
     target_function,
 )
-from .optimize import AngleSolution, optimal_closed_form, optimal_numeric, p_max_curve
+from .optimize import AngleSolution, optimal_closed_form, optimal_numeric
 from .classical import (
     DeterministicProtocol,
     EnumerationResult,

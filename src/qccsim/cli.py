@@ -188,28 +188,31 @@ def cmd_optimal(args: argparse.Namespace) -> int:
 def sweep_records(chis: list[float]) -> list[SweepRecord]:
     """Build one record per chi (radians): optimal angles, both strategy
     values, and the per-input probabilities at the optimum."""
-    records = []
-    for chi in chis:
-        pair = make_shared_state(float(chi))
-        sol = optimal_closed_form(pair)
-        report = exact_success_probability(pair, AngleSet(sol.phi1, sol.phi2))
-        records.append(
-            SweepRecord(
-                chi_deg=math.degrees(pair.chi),
-                alpha=pair.alpha,
-                beta=pair.beta,
-                epsilon=abs(math.tan(pair.chi)),
-                phi1=sol.phi1,
-                phi2=sol.phi2,
-                p_max=sol.p_max,
-                p_concentration=concentration_strategy_value(pair),
-                p00=report.p00,
-                p01=report.p01,
-                p10=report.p10,
-                p11=report.p11,
-            )
+    pairs = [make_shared_state(float(chi)) for chi in chis]
+    sols = [optimal_closed_form(pair) for pair in pairs]
+    report = exact_success_probability(
+        SchmidtPair(np.array([p.alpha for p in pairs]), np.array([p.beta for p in pairs]),
+                    np.array([p.chi for p in pairs])),
+        AngleSet(np.array([s.phi1 for s in sols]), np.array([s.phi2 for s in sols])),
+    )
+    per_input = zip(*(field.tolist() for field in report[:4]))
+    return [
+        SweepRecord(
+            chi_deg=math.degrees(pair.chi),
+            alpha=pair.alpha,
+            beta=pair.beta,
+            epsilon=abs(math.tan(pair.chi)),
+            phi1=sol.phi1,
+            phi2=sol.phi2,
+            p_max=sol.p_max,
+            p_concentration=concentration_strategy_value(pair),
+            p00=p00,
+            p01=p01,
+            p10=p10,
+            p11=p11,
         )
-    return records
+        for pair, sol, (p00, p01, p10, p11) in zip(pairs, sols, per_input)
+    ]
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:

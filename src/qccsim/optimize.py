@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import total_success_closed_form
-from .state import SchmidtPair, make_shared_state
+from .state import SchmidtPair
 
 ACOS_CLAMP_TOL = 1e-9
 
@@ -105,7 +105,3 @@ def optimal_numeric(
 
     return AngleSolution(phi1, phi2, _aux_ratio(ab), best)
 
-
-def p_max_curve(chis: list[float]) -> list[tuple[float, float]]:
-    """Maximum success probability at each canonical-domain angle chi (radians)."""
-    return [(chi, optimal_closed_form(make_shared_state(chi)).p_max) for chi in chis]

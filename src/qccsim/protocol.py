@@ -16,19 +16,17 @@ x0 AND y0.  High bits therefore cancel out of the success probability; only
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .state import (
-    RotationAngle,
-    SchmidtPair,
-    apply_local_rotations,
-    as_state,
-    measurement_distribution,
-    sample_outcome,
-)
+from .state import SchmidtPair, rotated_amplitudes, sample_outcome
+
+# Low bits (x0, y0) of the outcome table's rows, which are indexed 2*x0 + y0.
+_X0 = np.array([0, 0, 1, 1])
+_Y0 = np.array([0, 1, 0, 1])
 
 
 class InputPair(NamedTuple):
@@ -105,35 +103,45 @@ def target_function(inputs: InputPair) -> int:
     return inputs.x1 ^ inputs.y1 ^ (inputs.x0 & inputs.y0)
 
 
-def angle_for(low_bit: int, angles: AngleSet) -> RotationAngle:
-    """Rotation chosen by a party: phi1 for low bit 0, phi2 for low bit 1."""
-    return angles.phi1 if low_bit == 0 else angles.phi2
+def _outcome_table(alpha, beta, phi1, phi2) -> np.ndarray:
+    """Born probabilities indexed [..., 2*x0 + y0, outcome], outcomes in basis order.
 
-
-def per_input_success(pair: SchmidtPair, angles: AngleSet, x0: int, y0: int) -> float:
-    """Exact success probability for one (x0, y0) input combination.
-
-    The rotated state is measured in the standard basis; the run succeeds
-    when the outcome parity a XOR b equals x0 AND y0, i.e. on the even-parity
-    outcomes {00, 11} for x0 AND y0 = 0 and the odd ones {01, 10} otherwise.
+    Each party turns by phi1 on a low bit of 0 and by phi2 on 1.  Broadcasts
+    over all four arguments; a non-finite argument raises ValueError.
     """
-    rotated = apply_local_rotations(as_state(pair), angle_for(x0, angles), angle_for(y0, angles))
-    p00, p01, p10, p11 = measurement_distribution(rotated)
-    if x0 & y0:
-        return p01 + p10
-    return p00 + p11
+    alpha, beta, phi1, phi2 = (np.asarray(v, dtype=float) for v in (alpha, beta, phi1, phi2))
+    if not all(np.isfinite(v).all() for v in (alpha, beta, phi1, phi2)):
+        raise ValueError("amplitudes and rotation angles must be finite")
+    phi1, phi2 = phi1[..., None], phi2[..., None]
+    amps = rotated_amplitudes(
+        alpha[..., None], beta[..., None], np.where(_X0, phi2, phi1), np.where(_Y0, phi2, phi1)
+    )
+    return amps * amps
+
+
+# run_once plays many rounds on one (pair, angles); building the numpy table
+# afresh would cost more than the rest of a round.
+@functools.lru_cache(maxsize=64)
+def _outcome_rows(pair: SchmidtPair, angles: AngleSet) -> tuple[tuple[float, ...], ...]:
+    """The outcome table of one (pair, angles) as nested tuples of floats."""
+    table = _outcome_table(pair.alpha, pair.beta, angles.phi1, angles.phi2)
+    return tuple(map(tuple, table.tolist()))
 
 
 def exact_success_probability(pair: SchmidtPair, angles: AngleSet) -> PerInputReport:
     """All four per-input success probabilities and their uniform average.
 
-    Inputs are uniform, so (x0, y0) is uniform over the four combinations;
-    the high bits never affect success (they cancel in the XOR).
+    A run at (x0, y0) succeeds when the outcome parity a XOR b equals
+    x0 AND y0: on the even outcomes {00, 11} unless both low bits are 1, on
+    the odd ones {01, 10} then.  Inputs are uniform, so (x0, y0) is uniform
+    over the four combinations; the high bits never affect success (they
+    cancel in the XOR).  The fields of ``pair`` and ``angles`` may be numpy
+    arrays, and the report's fields then broadcast over them.
     """
-    p00 = per_input_success(pair, angles, 0, 0)
-    p01 = per_input_success(pair, angles, 0, 1)
-    p10 = per_input_success(pair, angles, 1, 0)
-    p11 = per_input_success(pair, angles, 1, 1)
+    table = _outcome_table(pair.alpha, pair.beta, angles.phi1, angles.phi2)
+    even = table[..., 0] + table[..., 3]
+    odd = table[..., 1] + table[..., 2]
+    p00, p01, p10, p11 = np.moveaxis(np.where(_X0 & _Y0, odd, even), -1, 0)
     return PerInputReport(p00, p01, p10, p11, (p00 + p01 + p10 + p11) / 4.0)
 
 
@@ -162,10 +170,7 @@ def run_once(
     rng: np.random.Generator,
 ) -> Transcript:
     """Execute the protocol once; consumes one rng draw (the measurement)."""
-    rotated = apply_local_rotations(
-        as_state(pair), angle_for(inputs.x0, angles), angle_for(inputs.y0, angles)
-    )
-    outcome = sample_outcome(rotated, rng)
+    outcome = sample_outcome(_outcome_rows(pair, angles)[2 * inputs.x0 + inputs.y0], rng)
     msg_alice = outcome.a ^ inputs.x1
     msg_bob = outcome.b ^ inputs.y1
     out = msg_alice ^ msg_bob
@@ -193,18 +198,11 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # Only (x0, y0) selects the rotated state; one outcome CDF per combination.
+    cdfs = np.cumsum(_outcome_table(pair.alpha, pair.beta, angles.phi1, angles.phi2), axis=-1)
     rng = np.random.default_rng(seed)
     xy = rng.integers(0, 4, size=(trials, 2))
     us = rng.random(trials)
-
-    # Only (x0, y0) selects the rotated state; precompute the four outcome CDFs.
-    cdfs = np.empty((4, 4))
-    for x0 in (0, 1):
-        for y0 in (0, 1):
-            rotated = apply_local_rotations(
-                as_state(pair), angle_for(x0, angles), angle_for(y0, angles)
-            )
-            cdfs[2 * x0 + y0] = np.cumsum(measurement_distribution(rotated))
 
     x0s = xy[:, 0] & 1
     y0s = xy[:, 1] & 1

@@ -1,4 +1,4 @@
-"""Real-valued two-qubit statevector algebra.
+"""The shared pair and the one rotation kernel applied to it.
 
 The shared resource throughout this package is a qubit pair in the state
 alpha|00> + beta|11> with real amplitudes, alpha^2 + beta^2 = 1.  Each party
@@ -21,13 +21,9 @@ on by every other module:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-# Rotation angles are plain radians; rotations are periodic so no range is
-# imposed, but values must be finite.
-RotationAngle = float
 
 NORM_TOL = 1e-12
 CHI_DOMAIN_TOL = 1e-12
@@ -54,18 +50,9 @@ class SchmidtPair(NamedTuple):
         ValueError if alpha^2 + beta^2 deviates from 1 by more than NORM_TOL.
         """
         norm = alpha * alpha + beta * beta
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails too
             raise ValueError(f"amplitudes not normalized: alpha^2+beta^2 = {norm!r}")
         return cls(alpha, beta, math.atan2(beta, alpha))
-
-
-class TwoQubitState(NamedTuple):
-    """Four real amplitudes over |00>, |01>, |10>, |11> (Alice first)."""
-
-    c00: float
-    c01: float
-    c10: float
-    c11: float
 
 
 class OutcomePair(NamedTuple):
@@ -94,66 +81,38 @@ def epr_state() -> SchmidtPair:
     return SchmidtPair(s, -s, EPR_CHI)
 
 
-def as_state(pair: SchmidtPair) -> TwoQubitState:
-    """Expand a SchmidtPair into its four-amplitude statevector."""
-    return TwoQubitState(pair.alpha, 0.0, 0.0, pair.beta)
+def rotated_amplitudes(alpha, beta, phi_a, phi_b) -> np.ndarray:
+    """Amplitudes of R(phi_a) x R(phi_b) applied to alpha|00> + beta|11>.
 
-
-def rotate_qubit(angle: RotationAngle, bit_in: int) -> tuple[float, float]:
-    """Column of R(angle) for a basis input: the image amplitudes (amp0, amp1).
-
-    bit 0 maps to (cos, sin), bit 1 to (-sin, cos).
+    Alice's qubit turns by phi_a, Bob's by phi_b.  Every argument broadcasts
+    (angles are radians) and the result has shape (..., 4), in the basis order
+    |00>, |01>, |10>, |11>.  The arithmetic is fixed -- Bob's rotation within
+    each row of the 2x2 coefficient grid, then Alice's across the rows -- so
+    equal inputs give bit-identical amplitudes in any broadcast shape.
     """
-    c, s = math.cos(angle), math.sin(angle)
-    if bit_in == 0:
-        return (c, s)
-    return (-s, c)
-
-
-def apply_local_rotations(
-    state: TwoQubitState, chi1: RotationAngle, chi2: RotationAngle
-) -> TwoQubitState:
-    """Apply R(chi1) on Alice's qubit and R(chi2) on Bob's.
-
-    Equivalent to the Kronecker product R(chi1) x R(chi2) acting on the
-    amplitude vector; normalization is preserved.
-    """
-    c1, s1 = math.cos(chi1), math.sin(chi1)
-    c2, s2 = math.cos(chi2), math.sin(chi2)
-    # Bob's rotation first (acts within each row of the 2x2 coefficient grid),
-    # then Alice's (mixes the rows).
-    b00 = state.c00 * c2 - state.c01 * s2
-    b01 = state.c00 * s2 + state.c01 * c2
-    b10 = state.c10 * c2 - state.c11 * s2
-    b11 = state.c10 * s2 + state.c11 * c2
-    return TwoQubitState(
-        b00 * c1 - b10 * s1,
-        b01 * c1 - b11 * s1,
-        b00 * s1 + b10 * c1,
-        b01 * s1 + b11 * c1,
+    ca, sa = np.cos(phi_a), np.sin(phi_a)
+    cb, sb = np.cos(phi_b), np.sin(phi_b)
+    b00 = alpha * cb
+    b01 = alpha * sb
+    b10 = -beta * sb
+    b11 = beta * cb
+    return np.stack(
+        (b00 * ca - b10 * sa, b01 * ca - b11 * sa, b00 * sa + b10 * ca, b01 * sa + b11 * ca),
+        axis=-1,
     )
 
 
-def measurement_distribution(state: TwoQubitState) -> tuple[float, float, float, float]:
-    """Standard-basis outcome probabilities (p00, p01, p10, p11)."""
-    return (
-        state.c00 * state.c00,
-        state.c01 * state.c01,
-        state.c10 * state.c10,
-        state.c11 * state.c11,
-    )
+def sample_outcome(probs: Sequence[float], rng: np.random.Generator) -> OutcomePair:
+    """Draw one joint measurement outcome from the probability row ``probs``.
 
-
-def sample_outcome(state: TwoQubitState, rng: np.random.Generator) -> OutcomePair:
-    """Draw one joint measurement outcome by the Born rule.
-
+    ``probs`` holds the Born probabilities of |00>, |01>, |10>, |11>.
     Consumes exactly one uniform variate from ``rng`` per call and inverts
     the CDF over the four outcomes in basis order, so outcome streams are
     bit-reproducible for a given seeded generator.
     """
     u = rng.random()
     acc = 0.0
-    for k, p in enumerate(measurement_distribution(state)):
+    for k, p in enumerate(probs):
         acc += p
         if u < acc:
             return OutcomePair(k >> 1, k & 1)

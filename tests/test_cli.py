@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -297,7 +299,10 @@ def test_classical_rejects_bad_mode(capsys):
 def test_module_invocation_is_byte_identical():
     argv = [sys.executable, "-m", "qccsim", "simulate", "--chi", "-45", "--trials", "5000",
             "--seed", "7"]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    first = subprocess.run(argv, capture_output=True, check=True, env=env)
+    second = subprocess.run(argv, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stdout  # sanity: produced output

@@ -1,4 +1,4 @@
-"""Smoke runs of the fast narrative scripts under demos/: each exits 0."""
+"""Smoke runs of the narrative scripts under demos/: each exits 0."""
 
 import os
 import subprocess
@@ -10,11 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# play_one_round.py and concentration_comparison.py loop over single rounds
-# in Python for seconds each; they are left out of this quick check.
 @pytest.mark.parametrize(
     "script",
-    ["classical_bound.py", "exact_probabilities.py", "optimal_angles.py", "theory_curves.py"],
+    ["classical_bound.py", "concentration_comparison.py", "exact_probabilities.py",
+     "optimal_angles.py", "play_one_round.py", "theory_curves.py"],
 )
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ)

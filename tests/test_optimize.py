@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qccsim.optimize import optimal_closed_form, optimal_numeric, p_max_curve
+from qccsim.optimize import optimal_closed_form, optimal_numeric
 from qccsim.protocol import AngleSet, closed_form_p
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
 
@@ -108,12 +108,3 @@ def test_p_max_strictly_increases_with_amplitude_product():
 def test_endpoints_are_exact():
     assert optimal_closed_form(make_shared_state(0.0)).p_max == 0.75
     assert optimal_closed_form(epr_state()).p_max == 0.5 + math.sqrt(2.0) / 4.0
-
-
-def test_p_max_curve():
-    curve = p_max_curve([-math.pi / 4, -math.pi / 8, 0.0])
-    assert abs(curve[0][1] - COS2_PI8) < 1e-12
-    assert abs(curve[1][1] - 0.80618621784789724) < 1e-12
-    assert curve[2][1] == 0.75
-    with pytest.raises(ValueError):
-        p_max_curve([0.2])

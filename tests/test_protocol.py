@@ -6,11 +6,9 @@ import pytest
 from qccsim.protocol import (
     AngleSet,
     InputPair,
-    angle_for,
     closed_form_p,
     exact_success_probability,
     monte_carlo,
-    per_input_success,
     run_once,
     target_function,
 )
@@ -45,22 +43,54 @@ def test_target_function_full_table():
 
 
 def test_angle_for():
-    assert angle_for(0, EPR_ANGLES) == -math.pi / 16
-    assert angle_for(1, EPR_ANGLES) == 3 * math.pi / 16
-    assert angle_for(0, AngleSet(0.0, 0.0)) == 0.0
+    # On |00>, phi1 must turn a party whose low bit is 0 and phi2 one whose
+    # low bit is 1: only Bob turns (by pi/4) at (0, 1), only Alice at (1, 0).
+    report = exact_success_probability(SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, math.pi / 4))
+    np.testing.assert_allclose(report[:4], (1.0, 0.5, 0.5, 0.5), atol=1e-12)
+    report = exact_success_probability(SchmidtPair(1.0, 0.0, 0.0), AngleSet(math.pi / 4, 0.0))
+    np.testing.assert_allclose(report[:4], (0.5, 0.5, 0.5, 0.0), atol=1e-12)
 
 
 # --- exact per-input probabilities ------------------------------------------
 
 
 def test_per_input_success_epr_values():
-    assert abs(per_input_success(epr_state(), EPR_ANGLES, 0, 0) - COS2_PI8) < 1e-9
-    assert abs(per_input_success(epr_state(), EPR_ANGLES, 1, 1) - COS2_PI8) < 1e-9
+    report = exact_success_probability(epr_state(), EPR_ANGLES)
+    assert abs(report.p00 - COS2_PI8) < 1e-9
+    assert abs(report.p11 - COS2_PI8) < 1e-9
 
 
 def test_per_input_success_unrotated_product_state():
     # state stays |00>, but input 11 needs odd outcome parity
-    assert per_input_success(SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, 0.0), 1, 1) == 0.0
+    assert exact_success_probability(SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, 0.0)).p11 == 0.0
+
+
+@pytest.mark.parametrize(
+    "pair,angles",
+    [
+        (SchmidtPair(1.0, 0.0, 0.0), AngleSet(math.nan, 0.0)),
+        (SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, math.inf)),
+        (SchmidtPair(1.0, 0.0, 0.0), AngleSet(-math.inf, 0.0)),
+        (SchmidtPair(math.nan, 0.0, 0.0), AngleSet(0.1, 0.2)),  # built raw, bypassing the check
+    ],
+)
+def test_non_finite_inputs_are_rejected(pair, angles):
+    with pytest.raises(ValueError):
+        exact_success_probability(pair, angles)
+    with pytest.raises(ValueError):
+        monte_carlo(pair, angles, 10, 1)
+    with pytest.raises(ValueError):
+        run_once(pair, angles, InputPair(0, 0), np.random.default_rng(0))
+
+
+def test_exact_broadcasts_over_states_and_angles():
+    rng = np.random.default_rng(25)
+    pairs = [random_canonical_pair(rng) for _ in range(50)]
+    phis = rng.uniform(-math.pi, math.pi, size=(2, 50))
+    batch = exact_success_probability(SchmidtPair(*np.array(pairs).T), AngleSet(*phis))
+    for i, pair in enumerate(pairs):
+        one = exact_success_probability(pair, AngleSet(float(phis[0, i]), float(phis[1, i])))
+        assert [float(v) for v in one] == [float(field[i]) for field in batch]
 
 
 def test_epr_symmetry_across_inputs():
@@ -142,7 +172,7 @@ def test_high_bits_never_affect_success():
                     for x1 in (0, 1)
                     for y1 in (0, 1)
                 ]
-                reference = per_input_success(pair, angles, x0, y0)
+                reference = exact_success_probability(pair, angles)[2 * x0 + y0]
                 for v in values:
                     assert abs(v - reference) < 1e-12
 

@@ -6,13 +6,9 @@ import pytest
 from qccsim.state import (
     OutcomePair,
     SchmidtPair,
-    TwoQubitState,
-    apply_local_rotations,
-    as_state,
     epr_state,
     make_shared_state,
-    measurement_distribution,
-    rotate_qubit,
+    rotated_amplitudes,
     sample_outcome,
 )
 from oracles import kron_rotate
@@ -68,61 +64,74 @@ def test_from_amplitudes_rejects_unnormalized():
         SchmidtPair.from_amplitudes(0.8, 0.7)
 
 
+@pytest.mark.parametrize("alpha,beta", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0)])
+def test_from_amplitudes_rejects_non_finite(alpha, beta):
+    with pytest.raises(ValueError):
+        SchmidtPair.from_amplitudes(alpha, beta)
+
+
 def test_epr_state():
     epr = epr_state()
     assert epr.alpha == SQH and epr.beta == -SQH
     assert epr.chi == -math.pi / 4
     assert abs(2.0 * epr.alpha * epr.beta + 1.0) < 1e-12
-    dist = measurement_distribution(as_state(epr))
+    dist = rotated_amplitudes(epr.alpha, epr.beta, 0.0, 0.0) ** 2
     np.testing.assert_allclose(dist, (0.5, 0.0, 0.0, 0.5), atol=1e-12)
 
 
 def test_as_state_examples():
-    assert as_state(SchmidtPair(1.0, 0.0, 0.0)) == TwoQubitState(1.0, 0.0, 0.0, 0.0)
-    assert as_state(epr_state()) == TwoQubitState(SQH, 0.0, 0.0, -SQH)
+    # unrotated, the pair is alpha|00> + beta|11>
+    assert rotated_amplitudes(1.0, 0.0, 0.0, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert rotated_amplitudes(SQH, -SQH, 0.0, 0.0).tolist() == [SQH, 0.0, 0.0, -SQH]
     pair = make_shared_state(-math.pi / 6)
-    st = as_state(pair)
-    assert (st.c00, st.c11) == (pair.alpha, pair.beta)
-    assert st.c01 == st.c10 == 0.0
+    c00, c01, c10, c11 = rotated_amplitudes(pair.alpha, pair.beta, 0.0, 0.0)
+    assert (c00, c11) == (pair.alpha, pair.beta)
+    assert c01 == c10 == 0.0
 
 
 # --- rotations --------------------------------------------------------------
 
 
 def test_rotate_qubit_examples():
-    assert rotate_qubit(0.0, 0) == (1.0, 0.0)
-    amp0, amp1 = rotate_qubit(math.pi / 2, 0)
-    assert abs(amp0) < 1e-12 and abs(amp1 - 1.0) < 1e-12
-    amp0, amp1 = rotate_qubit(math.pi / 8, 1)
-    assert abs(amp0 + math.sin(math.pi / 8)) < 1e-12
-    assert abs(amp1 - math.cos(math.pi / 8)) < 1e-12
+    # Alice turns |0> (from |00>) and |1> (from |11>); Bob's qubit stays put.
+    c00, _, c10, _ = rotated_amplitudes(1.0, 0.0, math.pi / 2, 0.0)
+    assert abs(c00) < 1e-12 and abs(c10 - 1.0) < 1e-12
+    _, c01, _, c11 = rotated_amplitudes(0.0, 1.0, math.pi / 8, 0.0)
+    assert abs(c01 + math.sin(math.pi / 8)) < 1e-12
+    assert abs(c11 - math.cos(math.pi / 8)) < 1e-12
 
 
 def test_rotate_qubit_matches_matrix_columns():
     rng = np.random.default_rng(11)
     for angle in rng.uniform(-math.pi, math.pi, size=50):
         mat = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
-        np.testing.assert_allclose(rotate_qubit(angle, 0), mat[:, 0], atol=1e-15)
-        np.testing.assert_allclose(rotate_qubit(angle, 1), mat[:, 1], atol=1e-15)
+        # |00> with Alice turned: column 0 on her qubit (amplitudes c00, c10);
+        # |11> with Bob turned: column 1 on his (amplitudes c10, c11).
+        np.testing.assert_allclose(rotated_amplitudes(1.0, 0.0, angle, 0.0)[[0, 2]], mat[:, 0],
+                                   atol=1e-15)
+        np.testing.assert_allclose(rotated_amplitudes(0.0, 1.0, 0.0, angle)[[2, 3]], mat[:, 1],
+                                   atol=1e-15)
 
 
 def test_apply_local_rotations_identity():
-    st = as_state(make_shared_state(-0.3))
-    assert apply_local_rotations(st, 0.0, 0.0) == st
+    pair = make_shared_state(-0.3)
+    assert rotated_amplitudes(pair.alpha, pair.beta, 0.0, 0.0).tolist() == [
+        pair.alpha, 0.0, 0.0, pair.beta,
+    ]
 
 
 def test_apply_local_rotations_quarter_turn():
-    out = apply_local_rotations(TwoQubitState(1.0, 0.0, 0.0, 0.0), math.pi / 2, 0.0)
+    out = rotated_amplitudes(1.0, 0.0, math.pi / 2, 0.0)
     np.testing.assert_allclose(out, (0.0, 0.0, 1.0, 0.0), atol=1e-12)
 
 
 def test_apply_local_rotations_frozen_example():
     # (|00> - |11>)/sqrt(2) rotated by (-pi/16, 3pi/16); expected values were
     # computed once with the independent Kronecker-product oracle.
-    out = apply_local_rotations(TwoQubitState(SQH, 0.0, 0.0, -SQH), -math.pi / 16, 3 * math.pi / 16)
+    out = rotated_amplitudes(SQH, -SQH, -math.pi / 16, 3 * math.pi / 16)
     expected = (0.65328148243818829, 0.2705980500730984, 0.2705980500730984, -0.65328148243818829)
     np.testing.assert_allclose(out, expected, atol=1e-12)
-    assert abs(out.c00**2 + out.c11**2 - math.cos(math.pi / 8) ** 2) < 1e-12
+    assert abs(out[0] ** 2 + out[3] ** 2 - math.cos(math.pi / 8) ** 2) < 1e-12
 
 
 def test_apply_local_rotations_matches_kron_oracle():
@@ -131,75 +140,70 @@ def test_apply_local_rotations_matches_kron_oracle():
         theta = rng.uniform(0.0, 2.0 * math.pi)
         alpha, beta = math.cos(theta), math.sin(theta)
         chi1, chi2 = rng.uniform(-math.pi, math.pi, size=2)
-        got = apply_local_rotations(TwoQubitState(alpha, 0.0, 0.0, beta), chi1, chi2)
+        got = rotated_amplitudes(alpha, beta, chi1, chi2)
         want = kron_rotate([alpha, 0.0, 0.0, beta], chi1, chi2)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_apply_local_rotations_preserves_normalization():
-    rng = np.random.default_rng(6)
-    for _ in range(500):
-        vec = rng.normal(size=4)
-        vec /= np.linalg.norm(vec)
-        chi1, chi2 = rng.uniform(-math.pi, math.pi, size=2)
-        out = apply_local_rotations(TwoQubitState(*vec), chi1, chi2)
-        assert abs(sum(c * c for c in out) - 1.0) < 1e-12
-
-
-def test_rotation_group_law():
-    rng = np.random.default_rng(8)
-    for _ in range(300):
-        vec = rng.normal(size=4)
-        vec /= np.linalg.norm(vec)
-        st = TwoQubitState(*vec)
-        a1, a2, b1, b2 = rng.uniform(-math.pi, math.pi, size=4)
-        twice = apply_local_rotations(apply_local_rotations(st, a1, a2), b1, b2)
-        once = apply_local_rotations(st, a1 + b1, a2 + b2)
-        np.testing.assert_allclose(twice, once, atol=1e-12)
+def test_rotated_amplitudes_broadcast_equals_scalar_calls():
+    rng = np.random.default_rng(7)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=500)
+    alpha, beta = np.cos(theta), np.sin(theta)
+    phi_a, phi_b = rng.uniform(-10.0, 10.0, size=(2, 500))
+    batch = rotated_amplitudes(alpha, beta, phi_a, phi_b)
+    assert batch.shape == (500, 4)
+    for i in range(500):
+        one = rotated_amplitudes(float(alpha[i]), float(beta[i]), float(phi_a[i]), float(phi_b[i]))
+        assert one.tolist() == batch[i].tolist()
+    # a scalar state against a grid of angles broadcasts the same way
+    grid = rotated_amplitudes(float(alpha[0]), float(beta[0]), phi_a[:, None], phi_b[None, :3])
+    assert grid.shape == (500, 3, 4)
+    assert grid[:, 0].tolist() == rotated_amplitudes(alpha[0], beta[0], phi_a, phi_b[0]).tolist()
 
 
 # --- measurement ------------------------------------------------------------
 
 
 def test_measurement_distribution_examples():
-    assert measurement_distribution(TwoQubitState(1.0, 0.0, 0.0, 0.0)) == (1.0, 0.0, 0.0, 0.0)
-    dist = measurement_distribution(TwoQubitState(SQH, 0.0, 0.0, -SQH))
+    assert (rotated_amplitudes(1.0, 0.0, 0.0, 0.0) ** 2).tolist() == [1.0, 0.0, 0.0, 0.0]
+    dist = rotated_amplitudes(SQH, -SQH, 0.0, 0.0) ** 2
     np.testing.assert_allclose(dist, (0.5, 0.0, 0.0, 0.5), atol=1e-12)
 
 
 def test_measurement_distribution_is_a_distribution():
     rng = np.random.default_rng(9)
-    for _ in range(500):
-        vec = rng.normal(size=4)
-        vec /= np.linalg.norm(vec)
-        dist = measurement_distribution(TwoQubitState(*vec))
-        assert all(p >= 0.0 for p in dist)
-        assert abs(sum(dist) - 1.0) < 1e-12
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=500)
+    phi_a, phi_b = rng.uniform(-math.pi, math.pi, size=(2, 500))
+    dist = rotated_amplitudes(np.cos(theta), np.sin(theta), phi_a, phi_b) ** 2
+    assert (dist >= 0.0).all()
+    np.testing.assert_allclose(dist.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_sample_outcome_deterministic_states():
     for seed in (0, 1, 12345):
         rng = np.random.default_rng(seed)
-        assert sample_outcome(TwoQubitState(1.0, 0.0, 0.0, 0.0), rng) == OutcomePair(0, 0)
-        assert sample_outcome(TwoQubitState(0.0, 1.0, 0.0, 0.0), rng) == OutcomePair(0, 1)
-        assert sample_outcome(TwoQubitState(0.0, 0.0, 0.0, 1.0), rng) == OutcomePair(1, 1)
+        assert sample_outcome((1.0, 0.0, 0.0, 0.0), rng) == OutcomePair(0, 0)
+        assert sample_outcome((0.0, 1.0, 0.0, 0.0), rng) == OutcomePair(0, 1)
+        assert sample_outcome((0.0, 0.0, 0.0, 1.0), rng) == OutcomePair(1, 1)
 
 
 def test_sample_outcome_epr_frequencies():
-    st = as_state(epr_state())
+    epr = epr_state()
+    probs = (rotated_amplitudes(epr.alpha, epr.beta, 0.0, 0.0) ** 2).tolist()
     rng = np.random.default_rng(2024)
     draws = 10**6
     n00 = 0
     for _ in range(draws):
-        outcome = sample_outcome(st, rng)
+        outcome = sample_outcome(probs, rng)
         assert outcome.a == outcome.b  # only 00 and 11 have weight
         n00 += outcome == OutcomePair(0, 0)
     assert abs(n00 / draws - 0.5) < 0.002
 
 
 def test_sample_outcome_streams_are_reproducible():
-    st = apply_local_rotations(as_state(epr_state()), 0.3, -0.7)
+    epr = epr_state()
+    probs = rotated_amplitudes(epr.alpha, epr.beta, 0.3, -0.7) ** 2
     rng1, rng2 = np.random.default_rng(123), np.random.default_rng(123)
-    seq1 = [sample_outcome(st, rng1) for _ in range(1000)]
-    seq2 = [sample_outcome(st, rng2) for _ in range(1000)]
+    seq1 = [sample_outcome(probs, rng1) for _ in range(1000)]
+    seq2 = [sample_outcome(probs, rng2) for _ in range(1000)]
     assert seq1 == seq2
