@@ -40,6 +40,17 @@ CLI_CALLS = [
     ["simulate", "--chi", "-30", "--trials", "10000", "--seed", "7", "--format", "json"],
     ["classical", "--mode", "simultaneous"],
     ["classical", "--mode", "sequential", "--format", "json"],
+    # unbounded z_score: "inf" in text, null in JSON
+    ["simulate", "--chi", "0", "--trials", "1"],
+    ["simulate", "--chi", "0", "--trials", "1", "--format", "json"],
+    ["classical", "--mode", "sequential"],
+    ["classical", "--mode", "simultaneous", "--format", "json"],
+    # hand-typed amplitudes, renormalized before use
+    ["exact", "--alpha", "0.92388", "--beta", "-0.38268"],
+    ["optimal", "--chi", "0"],
+    # refused: exit code 2, empty stdout
+    ["exact", "--alpha", "0.8", "--beta", "0.6"],
+    ["simulate", "--chi", "0", "--trials", "0"],
 ]
 
 
