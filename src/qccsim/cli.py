@@ -9,16 +9,18 @@ Subcommands:
 
 Units: --chi/--chi-start/--chi-end are degrees (the canonical range is
 -45..0); --phi1/--phi2 and all angles in output are radians.  Exit codes:
-0 success, 2 usage or domain error, 3 internal consistency failure.
+0 success, 1 the output file cannot be written or the request does not fit
+in memory, 2 usage or domain error, 3 internal consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,19 +29,21 @@ from .classical import MODE_SEQUENTIAL, MODE_SIMULTANEOUS, enumerate_best
 from .concentration import concentration_strategy_value
 from .optimize import optimal_closed_form, optimal_numeric
 from .protocol import AngleSet, closed_form_p, exact_success_probability, monte_carlo
-from .state import CHI_DOMAIN_TOL, SchmidtPair, make_shared_state
+from .state import SchmidtPair, in_canonical_domain, make_shared_state
 
-CSV_HEADER = "chi_deg,alpha,beta,epsilon,phi1,phi2,p_max,p_concentration,p00,p01,p10,p11"
 OPTIMAL_DISCREPANCY_LIMIT = 1e-6
 # CLI amplitudes are typically hand-typed decimals; accept small normalization
 # drift and renormalize exactly before use.
 AMPLITUDE_NORM_TOL = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepRecord:
     """One sweep grid point: state parameters, optimal angles, and the
-    direct (p_max) and concentrate-then-play (p_concentration) values."""
+    direct (p_max) and concentrate-then-play (p_concentration) values.
+
+    The field order is the CSV column order and the JSON key order.
+    """
 
     chi_deg: float
     alpha: float
@@ -55,28 +59,33 @@ class SweepRecord:
     p11: float
 
 
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(SweepRecord))
+
+
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
+def _write(args: argparse.Namespace, body: dict, text: Callable[[], str]) -> None:
+    """Write one result to ``--out`` (default stdout).
+
+    With ``--format json`` that is ``{"meta": ..., **body}``; otherwise it is
+    ``text()``, called only then: a sweep's CSV costs as much as its records.
+    """
+    if args.format == "json":
+        flags = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+        meta = {"tool": "qccsim", "version": __version__, "command": args.command,
+                "seed": getattr(args, "seed", None), "flags": flags}
+        # Strict JSON: a non-finite float raises ValueError (exit 2) instead of
+        # printing the non-standard tokens NaN or Infinity.
+        out = json.dumps({"meta": meta, **body}, indent=2, allow_nan=False) + "\n"
     else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    # Strict JSON: a non-finite float raises ValueError (exit 2) instead of
-    # printing the non-standard tokens NaN or Infinity.
-    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", out_path)
-
-
-def _meta(command: str, args: argparse.Namespace, seed: int | None = None) -> dict:
-    flags = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    return {"tool": "qccsim", "version": __version__, "command": command,
-            "seed": seed, "flags": flags}
+        out = text()
+    if args.out is None:
+        sys.stdout.write(out)
+    else:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(out)
 
 
 def _kv_report(fields: list[tuple[str, object]]) -> str:
@@ -109,13 +118,12 @@ def _pair_from_flags(chi_deg: float | None, alpha: float | None, beta: float | N
     norm = math.hypot(alpha, beta)
     if abs(norm * norm - 1.0) > AMPLITUDE_NORM_TOL:
         raise ValueError(f"amplitudes not normalized: alpha^2+beta^2 = {norm * norm!r}")
-    alpha, beta = alpha / norm, beta / norm
-    chi = math.atan2(beta, alpha)
-    if not (-math.pi / 4 - CHI_DOMAIN_TOL <= chi <= CHI_DOMAIN_TOL):
+    pair = SchmidtPair.from_amplitudes(alpha / norm, beta / norm)
+    if not in_canonical_domain(pair.chi):
         raise ValueError(
             "amplitudes outside the canonical domain (need beta <= 0 <= alpha, alpha >= |beta|)"
         )
-    return SchmidtPair(alpha, beta, chi)
+    return pair
 
 
 # --------------------------------------------------------------------------- exact
@@ -140,11 +148,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         ("closed_form", closed),
         ("difference", abs(report.total - closed)),
     ]
-    if args.format == "json":
-        payload = {"meta": _meta("exact", args), "record": {k: float(v) for k, v in fields}}
-        _emit_json(payload, args.out)
-    else:
-        _emit(_kv_report(fields), args.out)
+    _write(args, {"record": dict(fields)}, lambda: _kv_report(fields))
     return 0
 
 
@@ -167,11 +171,7 @@ def cmd_optimal(args: argparse.Namespace) -> int:
         ("numeric_p_max", numeric.p_max),
         ("discrepancy", discrepancy),
     ]
-    if args.format == "json":
-        payload = {"meta": _meta("optimal", args), "record": {k: float(v) for k, v in fields}}
-        _emit_json(payload, args.out)
-    else:
-        _emit(_kv_report(fields), args.out)
+    _write(args, {"record": dict(fields)}, lambda: _kv_report(fields))
     if discrepancy > OPTIMAL_DISCREPANCY_LIMIT:
         print(
             f"error: closed-form/numeric discrepancy {discrepancy:.3e} exceeds "
@@ -216,15 +216,10 @@ def sweep_records(chis: list[float]) -> list[SweepRecord]:
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
+    # vars(r) holds the fields in declaration order, as CSV_HEADER does;
+    # dataclasses.astuple would deep-copy every value at 3x the formatting cost.
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (r.chi_deg, r.alpha, r.beta, r.epsilon, r.phi1, r.phi2,
-                          r.p_max, r.p_concentration, r.p00, r.p01, r.p10, r.p11)
-            )
-        )
+    lines.extend(",".join(map(_fmt, vars(r).values())) for r in records)
     return "\n".join(lines) + "\n"
 
 
@@ -233,14 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--steps must be >= 2")
     chis = np.linspace(math.radians(args.chi_start), math.radians(args.chi_end), args.steps)
     records = sweep_records(list(chis))
-    if args.format == "json":
-        payload = {
-            "meta": _meta("sweep", args),
-            "records": [{k: float(v) for k, v in vars(r).items()} for r in records],
-        }
-        _emit_json(payload, args.out)
-    else:
-        _emit(records_to_csv(records), args.out)
+    _write(args, {"records": [vars(r) for r in records]}, lambda: records_to_csv(records))
     return 0
 
 
@@ -248,8 +236,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     pair = make_shared_state(math.radians(args.chi))
     sol = optimal_closed_form(pair)
     result = monte_carlo(pair, AngleSet(sol.phi1, sol.phi2), args.trials, args.seed)
@@ -271,18 +257,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     tallies = {
         f"{x0}{y0}": result.per_input_counts[(x0, y0)] for x0 in (0, 1) for y0 in (0, 1)
     }
-    if args.format == "json":
-        record = {k: (float(v) if isinstance(v, float) else v) for k, v in fields}
-        if math.isinf(z_score):
-            record["z_score"] = None  # unbounded: estimate off p_max with zero std_error
-        record["per_input_counts"] = {k: list(v) for k, v in tallies.items()}
-        payload = {"meta": _meta("simulate", args, seed=args.seed), "record": record}
-        _emit_json(payload, args.out)
-    else:
-        text = _kv_report(fields)
-        for key, (successes, drawn) in tallies.items():
-            text += f"per_input {key} = {successes}/{drawn}\n"
-        _emit(text, args.out)
+    record = dict(
+        fields,
+        # unbounded: estimate off p_max with zero std_error
+        z_score=None if math.isinf(z_score) else z_score,
+        per_input_counts={k: list(v) for k, v in tallies.items()},
+    )
+    per_input = [(f"per_input {k}", f"{s}/{n}") for k, (s, n) in tallies.items()]
+    _write(args, {"record": record}, lambda: _kv_report(fields + per_input))
     return 0
 
 
@@ -291,38 +273,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_classical(args: argparse.Namespace) -> int:
     result = enumerate_best(args.mode)
-    witness = result.witness
-    if args.format == "json":
-        payload = {
-            "meta": _meta("classical", args),
-            "record": {
-                "mode": result.mode,
-                "best_success_count": result.best_success_count,
-                "best_probability": str(result.best_probability),
-                "best_probability_float": float(result.best_probability),
-                "protocols_examined": result.protocols_examined,
-                "witness": {
-                    "msg_alice": list(witness.msg_alice),
-                    "msg_bob": list(witness.msg_bob),
-                    "out_alice": list(witness.out_alice),
-                    "out_bob": list(witness.out_bob),
-                },
-            },
-        }
-        _emit_json(payload, args.out)
-    else:
-        bits = lambda table: "".join(str(b) for b in table)
-        fields = [
-            ("mode", result.mode),
-            ("best_success_count", f"{result.best_success_count}/16"),
-            ("best_probability", str(result.best_probability)),
-            ("protocols_examined", result.protocols_examined),
-            ("witness_msg_alice", bits(witness.msg_alice)),
-            ("witness_msg_bob", bits(witness.msg_bob)),
-            ("witness_out_alice", bits(witness.out_alice)),
-            ("witness_out_bob", bits(witness.out_bob)),
-        ]
-        _emit(_kv_report(fields), args.out)
+    tables = {name: getattr(result.witness, name)
+              for name in ("msg_alice", "msg_bob", "out_alice", "out_bob")}
+    record = {
+        "mode": result.mode,
+        "best_success_count": result.best_success_count,
+        "best_probability": str(result.best_probability),
+        "best_probability_float": float(result.best_probability),
+        "protocols_examined": result.protocols_examined,
+        "witness": {name: list(table) for name, table in tables.items()},
+    }
+    fields = [
+        ("mode", result.mode),
+        ("best_success_count", f"{result.best_success_count}/16"),
+        ("best_probability", record["best_probability"]),
+        ("protocols_examined", result.protocols_examined),
+        *((f"witness_{name}", "".join(map(str, table))) for name, table in tables.items()),
+    ]
+    _write(args, {"record": record}, lambda: _kv_report(fields))
     return 0
 
 
@@ -389,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

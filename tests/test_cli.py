@@ -266,6 +266,21 @@ def test_simulate_json_is_strict_for_unbounded_z(capsys):
     assert record["z_score"] is None
 
 
+# --- oversized requests ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--chi", "0", "--trials", "1000000000000000"],
+    ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "1000000000000000"],
+])
+def test_oversized_request_exits_1(argv, capsys):
+    # 14 and 7 PiB: beyond the 47-bit address space, so numpy refuses at once
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- classical ---------------------------------------------------------------
 
 
