@@ -29,7 +29,7 @@ from .classical import MODE_SEQUENTIAL, MODE_SIMULTANEOUS, enumerate_best
 from .concentration import concentration_strategy_value
 from .optimize import optimal_closed_form, optimal_numeric
 from .protocol import AngleSet, closed_form_p, exact_success_probability, monte_carlo
-from .state import SchmidtPair, in_canonical_domain, make_shared_state
+from .state import SchmidtPair, make_shared_state
 
 OPTIMAL_DISCREPANCY_LIMIT = 1e-6
 # CLI amplitudes are typically hand-typed decimals; accept small normalization
@@ -119,10 +119,7 @@ def _pair_from_flags(chi_deg: float | None, alpha: float | None, beta: float | N
     if abs(norm * norm - 1.0) > AMPLITUDE_NORM_TOL:
         raise ValueError(f"amplitudes not normalized: alpha^2+beta^2 = {norm * norm!r}")
     pair = SchmidtPair.from_amplitudes(alpha / norm, beta / norm)
-    if not in_canonical_domain(pair.chi):
-        raise ValueError(
-            "amplitudes outside the canonical domain (need beta <= 0 <= alpha, alpha >= |beta|)"
-        )
+    make_shared_state(pair.chi)  # called for its canonical-domain check only
     return pair
 
 

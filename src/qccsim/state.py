@@ -62,11 +62,6 @@ class OutcomePair(NamedTuple):
     b: int
 
 
-def in_canonical_domain(chi: float) -> bool:
-    """True when chi lies in [-pi/4, 0], up to CHI_DOMAIN_TOL; False for NaN."""
-    return -math.pi / 4 - CHI_DOMAIN_TOL <= chi <= CHI_DOMAIN_TOL
-
-
 def make_shared_state(chi: float) -> SchmidtPair:
     """Construct the canonical shared state for an angle chi in [-pi/4, 0].
 
@@ -75,8 +70,11 @@ def make_shared_state(chi: float) -> SchmidtPair:
     outside the canonical interval (beyond a 1e-12 tolerance) raise
     ValueError rather than being clamped or normalized.
     """
-    if not in_canonical_domain(chi):
-        raise ValueError(f"chi = {chi!r} outside the canonical domain [-pi/4, 0]")
+    if not (-math.pi / 4 - CHI_DOMAIN_TOL <= chi <= CHI_DOMAIN_TOL):
+        raise ValueError(
+            f"chi = {chi!r} outside the canonical domain [-pi/4, 0]"
+            " (beta <= 0 <= alpha, alpha >= |beta|)"
+        )
     return SchmidtPair(math.cos(chi), math.sin(chi), chi)
 
 
