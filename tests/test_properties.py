@@ -1,7 +1,8 @@
 """Property tests: invariants checked over generated inputs.
 
 Every test runs a fixed, derandomized set of examples with no example
-database, so the suite stays reproducible and leaves no files behind.
+database, so the suite stays reproducible.  Hypothesis still caches source
+constants under ``.hypothesis/``, which is git-ignored.
 """
 
 import contextlib
