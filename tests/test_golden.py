@@ -2,7 +2,9 @@
 
 ``tests/data/cli_golden.json`` holds the exit code and exact stdout of a
 fixed set of CLI calls, the measured bits (a, b) of the first 256 seeded
-``run_once`` rounds at two states (one digit 2*a + b per round), and seeded
+``run_once`` rounds at two states (one digit 2*a + b per round), the
+(a, b, success) of the first 256 seeded ``simulate_concentration_run`` rounds
+at three states (one digit 4*a + 2*b + success per round), and seeded
 ``monte_carlo`` tallies.  Any change to the arithmetic, the draw order or
 the formatting shows up here.
 Regenerate, only for an intended output change, with
@@ -19,9 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from qccsim import cli
+from qccsim.concentration import simulate_concentration_run
 from qccsim.optimize import optimal_closed_form
 from qccsim.protocol import AngleSet, InputPair, monte_carlo, run_once
-from qccsim.state import epr_state, make_shared_state
+from qccsim.state import SchmidtPair, epr_state, make_shared_state
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 EPR_ANGLES = AngleSet(-math.pi / 16, 3 * math.pi / 16)
@@ -65,6 +68,17 @@ def _rounds(pair, angles, seed, n=256):
     return "".join(digits)
 
 
+def _concentration_rounds(pair, seed, n=256):
+    """n seeded concentrate-then-play rounds, one digit 4*a + 2*b + success per round."""
+    rng = np.random.default_rng(seed)
+    xy = rng.integers(0, 4, size=(n, 2))
+    digits = []
+    for x, y in xy:
+        t = simulate_concentration_run(pair, InputPair(int(x), int(y)), rng)
+        digits.append(str(4 * t.a + 2 * t.b + int(t.success)))
+    return "".join(digits)
+
+
 def _counts(pair, angles, trials, seed):
     result = monte_carlo(pair, angles, trials, seed)
     return {f"{x0}{y0}": list(n) for (x0, y0), n in sorted(result.per_input_counts.items())}
@@ -86,6 +100,13 @@ def capture() -> dict:
             "epr": _rounds(epr_state(), EPR_ANGLES, 404),
             "chi=-pi/8": _rounds(partial, partial_angles, 405),
         },
+        "concentration": {
+            "beta^2=1/4": _concentration_rounds(
+                SchmidtPair.from_amplitudes(math.sqrt(0.75), -math.sqrt(0.25)), 406
+            ),
+            "product": _concentration_rounds(make_shared_state(0.0), 407),
+            "epr": _concentration_rounds(epr_state(), 408),
+        },
         "monte_carlo": {
             "epr": _counts(epr_state(), EPR_ANGLES, 10_000, 5),
             "chi=-0.5": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4), 50_000, 99),
@@ -101,6 +122,7 @@ def test_outputs_match_golden():
     for call, record in want["cli"].items():
         assert got["cli"][call] == record, call
     assert got["run_once"] == want["run_once"]
+    assert got["concentration"] == want["concentration"]
     assert got["monte_carlo"] == want["monte_carlo"]
 
 
