@@ -3,14 +3,7 @@ communication game over a shared pair alpha|00> + beta|11>."""
 
 __version__ = "0.1.0"
 
-from .state import (
-    OutcomePair,
-    SchmidtPair,
-    epr_state,
-    make_shared_state,
-    rotated_amplitudes,
-    sample_outcome,
-)
+from .state import SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
 from .protocol import (
     AngleSet,
     InputPair,
@@ -33,9 +26,7 @@ from .classical import (
     run_protocol,
 )
 from .concentration import (
-    ConcentrationOutcome,
     concentration_strategy_value,
     concentration_success_probability,
-    draw_concentration,
     simulate_concentration_run,
 )

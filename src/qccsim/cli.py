@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from typing import Callable
 
@@ -35,6 +36,9 @@ OPTIMAL_DISCREPANCY_LIMIT = 1e-6
 # CLI amplitudes are typically hand-typed decimals; accept small normalization
 # drift and renormalize exactly before use.
 AMPLITUDE_NORM_TOL = 1e-4
+# A token argparse must read as a value, not an option name: it accepts only
+# -12 and -1.5 as negative numbers, so -1e-05 and -inf would be refused.
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -343,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_flags(p, ("text", "json"), "text")
     p.set_defaults(func=cmd_classical)
 
+    for p in (parser, *sub.choices.values()):  # no flag here looks like _NEGATIVE_VALUE
+        p._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 

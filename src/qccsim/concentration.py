@@ -12,24 +12,15 @@ endpoints beta^2 = 0 and beta^2 = 1/2, where the curves meet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import baseline_protocol, run_protocol
-from .protocol import AngleSet, InputPair, Transcript, run_once, target_function
+from .protocol import AngleSet, InputPair, Transcript, run_once
 from .state import SchmidtPair, epr_state
 
 EPR_STRATEGY_VALUE = math.cos(math.pi / 8) ** 2
 CLASSICAL_BASELINE_VALUE = 0.75
 EPR_ANGLES = AngleSet(-math.pi / 16, 3.0 * math.pi / 16)
-
-
-@dataclass(frozen=True)
-class ConcentrationOutcome:
-    succeeded: bool
-    probability_of_success: float
-    resulting_strategy_value: float
 
 
 def concentration_success_probability(pair: SchmidtPair) -> float:
@@ -50,34 +41,6 @@ def concentration_strategy_value(pair: SchmidtPair) -> float:
     return CLASSICAL_BASELINE_VALUE + (2.0 * EPR_STRATEGY_VALUE - 1.5) * beta_sq
 
 
-def draw_concentration(pair: SchmidtPair, rng: np.random.Generator) -> ConcentrationOutcome:
-    """Flip the distillation coin; consumes one uniform draw."""
-    p = concentration_success_probability(pair)
-    succeeded = rng.random() < p
-    return ConcentrationOutcome(
-        succeeded=succeeded,
-        probability_of_success=p,
-        resulting_strategy_value=EPR_STRATEGY_VALUE if succeeded else CLASSICAL_BASELINE_VALUE,
-    )
-
-
-def _baseline_transcript(inputs: InputPair) -> Transcript:
-    # The baseline exchanges the raw high bits, i.e. a = b = 0 in transcript
-    # terms (messages are a XOR x1 and b XOR y1).
-    run = run_protocol(baseline_protocol(), inputs.x, inputs.y)
-    want = target_function(inputs)
-    return Transcript(
-        inputs=inputs,
-        a=run.msg_alice ^ inputs.x1,
-        b=run.msg_bob ^ inputs.y1,
-        msg_alice=run.msg_alice,
-        msg_bob=run.msg_bob,
-        out_alice=run.out_alice,
-        out_bob=run.out_bob,
-        success=(run.out_alice == want and run.out_bob == want),
-    )
-
-
 def simulate_concentration_run(
     pair: SchmidtPair, inputs: InputPair, rng: np.random.Generator
 ) -> Transcript:
@@ -87,6 +50,7 @@ def simulate_concentration_run(
     entangled strategy on the maximal pair (one more draw), on failure runs
     the deterministic classical baseline (no further draws).
     """
-    if draw_concentration(pair, rng).succeeded:
+    if rng.random() < concentration_success_probability(pair):
         return run_once(epr_state(), EPR_ANGLES, inputs, rng)
-    return _baseline_transcript(inputs)
+    # The baseline sends the raw high bits: the strategy whose measured bits are 0, 0.
+    return Transcript.from_outcome(inputs, 0, 0)

@@ -18,6 +18,8 @@ from .protocol import total_success_closed_form
 from .state import SchmidtPair
 
 ACOS_CLAMP_TOL = 1e-9
+GRID_STEPS = 256  # optimal_numeric's scan is GRID_STEPS x GRID_STEPS
+REFINE_ITERS = 40  # compass-search step halvings after the scan
 
 
 @dataclass(frozen=True)
@@ -68,29 +70,25 @@ def optimal_closed_form(pair: SchmidtPair) -> AngleSolution:
     return AngleSolution(phi1, phi2, t, 0.5 + 0.25 * root)
 
 
-def optimal_numeric(
-    pair: SchmidtPair, grid_steps: int = 256, refine_iters: int = 40
-) -> AngleSolution:
+def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
     """Maximize the closed-form success probability by search.
 
-    Scans a grid_steps x grid_steps grid over [-pi/2, pi/2)^2 (the objective
-    has period pi in each angle), then refines the best grid point by compass
-    search with a halving step.  Deterministic: grid ties resolve to the
-    lexicographically smallest (phi1, phi2).
+    Scans a GRID_STEPS x GRID_STEPS grid over [-pi/2, pi/2)^2 (the objective
+    has period pi in each angle), then refines the best grid point by
+    REFINE_ITERS rounds of compass search with a halving step.  Deterministic:
+    grid ties resolve to the lexicographically smallest (phi1, phi2).
     """
-    if grid_steps < 64:
-        raise ValueError("grid_steps must be >= 64")
     ab = pair.alpha * pair.beta
-    grid = -0.5 * math.pi + math.pi * np.arange(grid_steps) / grid_steps
+    grid = -0.5 * math.pi + math.pi * np.arange(GRID_STEPS) / GRID_STEPS
     p1_mesh, p2_mesh = np.meshgrid(grid, grid, indexing="ij")
     values = total_success_closed_form(ab, p1_mesh, p2_mesh)
     flat = int(np.argmax(values))
-    phi1 = float(grid[flat // grid_steps])
-    phi2 = float(grid[flat % grid_steps])
+    phi1 = float(grid[flat // GRID_STEPS])
+    phi2 = float(grid[flat % GRID_STEPS])
     best = float(values.flat[flat])
 
-    step = math.pi / grid_steps
-    for _ in range(refine_iters):
+    step = math.pi / GRID_STEPS
+    for _ in range(REFINE_ITERS):
         moved = True
         inner = 0
         while moved and inner < 100:

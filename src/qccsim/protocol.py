@@ -16,13 +16,14 @@ x0 AND y0.  High bits therefore cancel out of the success probability; only
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .state import SchmidtPair, rotated_amplitudes, sample_outcome
+from .state import SchmidtPair, rotated_amplitudes
 
 # Low bits (x0, y0) of the outcome table's rows, which are indexed 2*x0 + y0.
 _X0 = np.array([0, 0, 1, 1])
@@ -76,6 +77,14 @@ class Transcript(NamedTuple):
     out_bob: int
     success: bool
 
+    @classmethod
+    def from_outcome(cls, inputs: InputPair, a: int, b: int) -> "Transcript":
+        """The round on ``inputs`` whose measurements gave Alice a and Bob b."""
+        msg_alice = a ^ inputs.x1
+        msg_bob = b ^ inputs.y1
+        out = msg_alice ^ msg_bob
+        return cls(inputs, a, b, msg_alice, msg_bob, out, out, out == target_function(inputs))
+
 
 class PerInputReport(NamedTuple):
     """Success probability per (x0, y0) input pair plus their uniform mean."""
@@ -122,10 +131,15 @@ def _outcome_table(alpha, beta, phi1, phi2) -> np.ndarray:
 # run_once plays many rounds on one (pair, angles); building the numpy table
 # afresh would cost more than the rest of a round.
 @functools.lru_cache(maxsize=64)
-def _outcome_rows(pair: SchmidtPair, angles: AngleSet) -> tuple[tuple[float, ...], ...]:
-    """The outcome table of one (pair, angles) as nested tuples of floats."""
+def _outcome_edges(pair: SchmidtPair, angles: AngleSet) -> tuple[tuple[float, float, float], ...]:
+    """First three CDF edges of each outcome-table row, as floats.
+
+    The outcome of a uniform u is the number of its row's edges at or below u
+    (basis order, so outcome k gives a = k >> 1 and b = k & 1); a u in the
+    roundoff sliver above the last edge still gives outcome 3.
+    """
     table = _outcome_table(pair.alpha, pair.beta, angles.phi1, angles.phi2)
-    return tuple(map(tuple, table.tolist()))
+    return tuple(map(tuple, np.cumsum(table, axis=-1)[:, :3].tolist()))
 
 
 def exact_success_probability(pair: SchmidtPair, angles: AngleSet) -> PerInputReport:
@@ -170,20 +184,9 @@ def run_once(
     rng: np.random.Generator,
 ) -> Transcript:
     """Execute the protocol once; consumes one rng draw (the measurement)."""
-    outcome = sample_outcome(_outcome_rows(pair, angles)[2 * inputs.x0 + inputs.y0], rng)
-    msg_alice = outcome.a ^ inputs.x1
-    msg_bob = outcome.b ^ inputs.y1
-    out = msg_alice ^ msg_bob
-    return Transcript(
-        inputs=inputs,
-        a=outcome.a,
-        b=outcome.b,
-        msg_alice=msg_alice,
-        msg_bob=msg_bob,
-        out_alice=out,
-        out_bob=out,
-        success=(out == target_function(inputs)),
-    )
+    edges = _outcome_edges(pair, angles)[2 * inputs.x0 + inputs.y0]
+    k = bisect.bisect_right(edges, rng.random())
+    return Transcript.from_outcome(inputs, k >> 1, k & 1)
 
 
 def monte_carlo(
@@ -198,25 +201,20 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # Only (x0, y0) selects the rotated state; one outcome CDF per combination.
-    cdfs = np.cumsum(_outcome_table(pair.alpha, pair.beta, angles.phi1, angles.phi2), axis=-1)
+    # Only (x0, y0) selects the rotated state; one row of outcome edges each.
+    edges = np.array(_outcome_edges(pair, angles))
     rng = np.random.default_rng(seed)
-    xy = rng.integers(0, 4, size=(trials, 2))
+    combo = (rng.integers(0, 4, size=(trials, 2)) & 1) @ np.array([2, 1])  # 2*x0 + y0
     us = rng.random(trials)
+    outcomes = (us[:, None] >= edges[combo]).sum(axis=1)
+    # Success when the outcome parity a XOR b equals x0 AND y0, i.e. odd only on combo 3.
+    successes = ((outcomes >> 1) ^ (outcomes & 1)) == (combo == 3)
+    tally = np.bincount(2 * combo + successes, minlength=8).reshape(4, 2)
 
-    x0s = xy[:, 0] & 1
-    y0s = xy[:, 1] & 1
-    combo = 2 * x0s + y0s
-    outcomes = (us[:, None] >= cdfs[combo][:, :3]).sum(axis=1)
-    parity = (outcomes >> 1) ^ (outcomes & 1)
-    successes = parity == (x0s & y0s)
-
-    counts: dict[tuple[int, int], tuple[int, int]] = {}
-    for x0 in (0, 1):
-        for y0 in (0, 1):
-            sel = combo == 2 * x0 + y0
-            counts[(x0, y0)] = (int(successes[sel].sum()), int(sel.sum()))
-
-    estimate = float(successes.sum()) / trials
+    counts = {
+        (row >> 1, row & 1): (int(wins), int(wins + losses))
+        for row, (losses, wins) in enumerate(tally)
+    }
+    estimate = float(tally[:, 1].sum()) / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     return MonteCarloResult(estimate, std_error, counts)

@@ -21,7 +21,7 @@ on by every other module:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,13 +55,6 @@ class SchmidtPair(NamedTuple):
         return cls(alpha, beta, math.atan2(beta, alpha))
 
 
-class OutcomePair(NamedTuple):
-    """Measured bits: ``a`` from Alice's qubit, ``b`` from Bob's."""
-
-    a: int
-    b: int
-
-
 def make_shared_state(chi: float) -> SchmidtPair:
     """Construct the canonical shared state for an angle chi in [-pi/4, 0].
 
@@ -72,8 +65,8 @@ def make_shared_state(chi: float) -> SchmidtPair:
     """
     if not (-math.pi / 4 - CHI_DOMAIN_TOL <= chi <= CHI_DOMAIN_TOL):
         raise ValueError(
-            f"chi = {chi!r} outside the canonical domain [-pi/4, 0]"
-            " (beta <= 0 <= alpha, alpha >= |beta|)"
+            f"chi = {chi!r} rad ({math.degrees(chi):.12g} deg) outside the canonical"
+            " domain [-pi/4, 0] rad = [-45, 0] deg (beta <= 0 <= alpha, alpha >= |beta|)"
         )
     return SchmidtPair(math.cos(chi), math.sin(chi), chi)
 
@@ -104,19 +97,3 @@ def rotated_amplitudes(alpha, beta, phi_a, phi_b) -> np.ndarray:
         axis=-1,
     )
 
-
-def sample_outcome(probs: Sequence[float], rng: np.random.Generator) -> OutcomePair:
-    """Draw one joint measurement outcome from the probability row ``probs``.
-
-    ``probs`` holds the Born probabilities of |00>, |01>, |10>, |11>.
-    Consumes exactly one uniform variate from ``rng`` per call and inverts
-    the CDF over the four outcomes in basis order, so outcome streams are
-    bit-reproducible for a given seeded generator.
-    """
-    u = rng.random()
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return OutcomePair(k >> 1, k & 1)
-    return OutcomePair(1, 1)  # u landed in the roundoff sliver above the last edge

@@ -69,7 +69,7 @@ def test_c04_numeric_maximizer_confirms_the_formula():
         pair = make_shared_state(chi)
         ab = pair.alpha * pair.beta
         formula = 0.5 + 0.25 * math.sqrt(1.0 + 4.0 * ab * ab)
-        numeric = optimal_numeric(pair, grid_steps=256, refine_iters=40)
+        numeric = optimal_numeric(pair)
         worst = max(worst, abs(numeric.p_max - formula))
     elapsed = time.perf_counter() - start
     report(4, "grid+refine maximizer matches the p_max formula on 33 states",

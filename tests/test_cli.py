@@ -89,19 +89,20 @@ def test_exact_rejects_conflicting_parameterizations(capsys):
 
 
 def test_exact_rejects_out_of_domain_chi(capsys):
-    code, _, _ = run_cli(["exact", "--chi", "10"], capsys)
+    code, _, err = run_cli(["exact", "--chi", "10"], capsys)
     assert code == 2
+    # the flag is in degrees, so the message names the typed value and range in degrees too
+    assert "(10 deg)" in err and "[-45, 0] deg" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan"])
 def test_exact_rejects_non_finite_angles(value, capsys):
     for flag in ("--phi1", "--phi2"):
-        # "--flag=value": a bare "-inf" would be read as an option name
-        code, out, err = run_cli(["exact", "--chi", "-10", "--format", "json", f"{flag}={value}"],
-                                 capsys)
-        assert code == 2
-        assert out == ""
-        assert "finite" in err
+        for given in ([f"{flag}={value}"], [flag, value]):
+            code, out, err = run_cli(["exact", "--chi", "-10", "--format", "json", *given], capsys)
+            assert code == 2
+            assert out == ""
+            assert f"not a finite number: {value!r}" in err
 
 
 def test_exact_json(capsys):
@@ -141,6 +142,13 @@ def test_optimal_half_angle(capsys):
     report = parse_kv(out)
     assert abs(float(report["p_max"]) - 0.80618621784789724) < 1e-9
     assert float(report["discrepancy"]) < 1e-9
+
+
+def test_optimal_reads_negative_value_with_exponent(capsys):
+    # argparse alone takes "-1e-05" for an option name and exits 2
+    code, out, _ = run_cli(["optimal", "--chi", "-1e-05"], capsys)
+    assert code == 0
+    assert (code, out) == run_cli(["optimal", "--chi=-1e-05"], capsys)[:2]
 
 
 def test_optimal_rejects_out_of_domain(capsys):

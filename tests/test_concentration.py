@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 
+from qccsim.classical import baseline_protocol, run_protocol
 from qccsim.concentration import (
     EPR_ANGLES,
     concentration_strategy_value,
     concentration_success_probability,
-    draw_concentration,
     simulate_concentration_run,
 )
 from qccsim.optimize import optimal_closed_form
@@ -68,20 +68,25 @@ def test_curves_meet_at_endpoints():
         assert abs(gap) < 1e-12
 
 
-def test_draw_concentration_degenerate_coins():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        assert not draw_concentration(SchmidtPair(1.0, 0.0, 0.0), rng).succeeded
-        assert draw_concentration(epr_state(), rng).succeeded
+def test_coin_draws_one_uniform_then_one_per_measurement():
+    # The product state never distills (coin only), the EPR state always does
+    # (coin, then run_once's measurement); a twin generator counts the draws.
+    for pair, draws in ((SchmidtPair(1.0, 0.0, 0.0), 1), (epr_state(), 2)):
+        rng, twin = np.random.default_rng(1), np.random.default_rng(1)
+        for i in range(200):
+            simulate_concentration_run(pair, InputPair(i % 4, i % 3), rng)
+            twin.random(draws)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def test_draw_concentration_reports_values():
+def test_fallback_transcript_is_the_classical_baseline():
     rng = np.random.default_rng(2)
-    outcome = draw_concentration(epr_state(), rng)
-    assert outcome.probability_of_success == 1.0
-    assert outcome.resulting_strategy_value == COS2_PI8
-    outcome = draw_concentration(SchmidtPair(1.0, 0.0, 0.0), rng)
-    assert outcome.resulting_strategy_value == 0.75
+    for x in range(4):
+        for y in range(4):
+            t = simulate_concentration_run(SchmidtPair(1.0, 0.0, 0.0), InputPair(x, y), rng)
+            run = run_protocol(baseline_protocol(), x, y)
+            assert (t.msg_alice, t.msg_bob, t.out_alice, t.out_bob) == run
+            assert t.success == (run.out_alice == run.out_bob == target_function(t.inputs))
 
 
 def test_simulation_classical_branch_is_the_baseline():

@@ -82,11 +82,6 @@ def test_numeric_accepts_positive_product():
     assert 0.5 <= numeric.p_max <= 0.5 + math.sqrt(2.0) / 4.0 + 1e-12
 
 
-def test_numeric_rejects_coarse_grid():
-    with pytest.raises(ValueError):
-        optimal_numeric(epr_state(), grid_steps=32)
-
-
 def test_closed_form_p_never_exceeds_p_max():
     rng = np.random.default_rng(17)
     for _ in range(1000):

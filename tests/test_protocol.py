@@ -198,6 +198,38 @@ def test_run_once_deterministic_failure_case():
     assert not t.success
 
 
+def test_run_once_deterministic_states():
+    # From |00>, phi2 = pi/2 flips a qubit, so each (x0, y0) fixes the outcome to (x0, y0).
+    angles = AngleSet(0.0, math.pi / 2)
+    for seed in (0, 1, 12345):
+        rng = np.random.default_rng(seed)
+        for x in range(4):
+            for y in range(4):
+                t = run_once(SchmidtPair(1.0, 0.0, 0.0), angles, InputPair(x, y), rng)
+                assert (t.a, t.b) == (x & 1, y & 1)
+
+
+def test_run_once_epr_outcome_frequencies():
+    pair, angles = epr_state(), AngleSet(0.0, 0.0)
+    inputs = [InputPair(x, y) for x in range(4) for y in range(4)]
+    rng = np.random.default_rng(2024)
+    draws = 10**6
+    n00 = 0
+    for i in range(draws):
+        t = run_once(pair, angles, inputs[i & 15], rng)
+        assert t.a == t.b  # only 00 and 11 have weight
+        n00 += t.a == 0
+    assert abs(n00 / draws - 0.5) < 0.002
+
+
+def test_run_once_streams_are_reproducible():
+    angles = AngleSet(0.3, -0.7)
+    rng1, rng2 = np.random.default_rng(123), np.random.default_rng(123)
+    seq1 = [run_once(epr_state(), angles, InputPair(i % 4, i % 3), rng1) for i in range(1000)]
+    seq2 = [run_once(epr_state(), angles, InputPair(i % 4, i % 3), rng2) for i in range(1000)]
+    assert seq1 == seq2
+
+
 def test_transcript_relations_hold_on_random_runs():
     rng = np.random.default_rng(31)
     pair = epr_state()
@@ -256,6 +288,24 @@ def test_monte_carlo_counts_partition_trials():
     totals = sum(n for _, n in result.per_input_counts.values())
     assert totals == 10_000
     assert set(result.per_input_counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("chi", [-math.pi / 4, -0.5])
+def test_monte_carlo_tallies_equal_looped_run_once(chi):
+    # monte_carlo's draw order is the int block, then one uniform per trial,
+    # which is what run_once consumes round by round.
+    pair = make_shared_state(chi)
+    angles = AngleSet(0.2, -0.4)
+    n, seed = 20_000, 8
+    rng = np.random.default_rng(seed)
+    counts = {(x0, y0): [0, 0] for x0 in (0, 1) for y0 in (0, 1)}
+    for x, y in rng.integers(0, 4, size=(n, 2)):
+        t = run_once(pair, angles, InputPair(int(x), int(y)), rng)
+        tally = counts[(t.inputs.x0, t.inputs.y0)]
+        tally[0] += t.success
+        tally[1] += 1
+    want = {key: tuple(tally) for key, tally in counts.items()}
+    assert monte_carlo(pair, angles, n, seed).per_input_counts == want
 
 
 def test_monte_carlo_within_five_sigma_across_seeds():

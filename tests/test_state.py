@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qccsim.state import (
-    OutcomePair,
-    SchmidtPair,
-    epr_state,
-    make_shared_state,
-    rotated_amplitudes,
-    sample_outcome,
-)
+from qccsim.state import SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
 from oracles import kron_rotate
 
 SQH = math.sqrt(0.5)
@@ -178,32 +171,3 @@ def test_measurement_distribution_is_a_distribution():
     assert (dist >= 0.0).all()
     np.testing.assert_allclose(dist.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
 
-
-def test_sample_outcome_deterministic_states():
-    for seed in (0, 1, 12345):
-        rng = np.random.default_rng(seed)
-        assert sample_outcome((1.0, 0.0, 0.0, 0.0), rng) == OutcomePair(0, 0)
-        assert sample_outcome((0.0, 1.0, 0.0, 0.0), rng) == OutcomePair(0, 1)
-        assert sample_outcome((0.0, 0.0, 0.0, 1.0), rng) == OutcomePair(1, 1)
-
-
-def test_sample_outcome_epr_frequencies():
-    epr = epr_state()
-    probs = (rotated_amplitudes(epr.alpha, epr.beta, 0.0, 0.0) ** 2).tolist()
-    rng = np.random.default_rng(2024)
-    draws = 10**6
-    n00 = 0
-    for _ in range(draws):
-        outcome = sample_outcome(probs, rng)
-        assert outcome.a == outcome.b  # only 00 and 11 have weight
-        n00 += outcome == OutcomePair(0, 0)
-    assert abs(n00 / draws - 0.5) < 0.002
-
-
-def test_sample_outcome_streams_are_reproducible():
-    epr = epr_state()
-    probs = rotated_amplitudes(epr.alpha, epr.beta, 0.3, -0.7) ** 2
-    rng1, rng2 = np.random.default_rng(123), np.random.default_rng(123)
-    seq1 = [sample_outcome(probs, rng1) for _ in range(1000)]
-    seq2 = [sample_outcome(probs, rng2) for _ in range(1000)]
-    assert seq1 == seq2
