@@ -54,6 +54,9 @@ CLI_CALLS = [
     # refused: exit code 2, empty stdout
     ["exact", "--alpha", "0.8", "--beta", "0.6"],
     ["simulate", "--chi", "0", "--trials", "0"],
+    # more trials than one monte_carlo chunk
+    ["simulate", "--chi", "-30", "--trials", "1000000", "--seed", "7"],
+    ["simulate", "--chi", "-30", "--trials", "1000000", "--seed", "7", "--format", "json"],
 ]
 
 
@@ -111,6 +114,10 @@ def capture() -> dict:
             "epr": _counts(epr_state(), EPR_ANGLES, 10_000, 5),
             "chi=-0.5": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4), 50_000, 99),
             "chi=-pi/8": _counts(partial, partial_angles, 20_000, 43),
+            # several chunks, the last one partial
+            "chi=-0.5 3*2^16+5": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4),
+                                         3 * 2**16 + 5, 11),
+            "epr 10^6": _counts(epr_state(), EPR_ANGLES, 10**6, 12),
         },
     }
 
