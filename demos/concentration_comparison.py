@@ -12,12 +12,7 @@ import math
 
 import numpy as np
 
-from qccsim import (
-    InputPair,
-    SchmidtPair,
-    concentration_strategy_value,
-    simulate_concentration_run,
-)
+from qccsim import SchmidtPair, concentration_strategy_value, simulate_concentration_batch
 from qccsim.optimize import optimal_closed_form
 
 
@@ -34,10 +29,8 @@ def main():
     pair = SchmidtPair.from_amplitudes(math.sqrt(0.75), -0.5)
     rng = np.random.default_rng(7)
     runs = 200_000
-    wins = 0
-    for _ in range(runs):
-        inputs = InputPair(int(rng.integers(4)), int(rng.integers(4)))
-        wins += simulate_concentration_run(pair, inputs, rng).success
+    xy = rng.integers(0, 4, size=(runs, 2))
+    wins = int(simulate_concentration_batch(pair, xy[:, 0], xy[:, 1], rng)[2].sum())
     print()
     print(f"beta^2 = 1/4, {runs} sampled rounds: {wins / runs:.4f}"
           f"  (expected {concentration_strategy_value(pair):.4f})")

@@ -13,6 +13,7 @@ from .protocol import (
     closed_form_p,
     exact_success_probability,
     monte_carlo,
+    run_batch,
     run_once,
     target_function,
 )
@@ -28,5 +29,6 @@ from .classical import (
 from .concentration import (
     concentration_strategy_value,
     concentration_success_probability,
+    simulate_concentration_batch,
     simulate_concentration_run,
 )

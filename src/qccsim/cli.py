@@ -10,7 +10,8 @@ Subcommands:
 Units: --chi/--chi-start/--chi-end are degrees (the canonical range is
 -45..0); --phi1/--phi2 and all angles in output are radians.  Exit codes:
 0 success, 1 the output file cannot be written or the request does not fit
-in memory, 2 usage or domain error, 3 internal consistency failure.
+in memory (``sweep --steps 1000000000000000``), 2 usage or domain error,
+3 internal consistency failure.
 """
 
 from __future__ import annotations

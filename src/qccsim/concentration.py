@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .protocol import AngleSet, InputPair, Transcript, run_once
+from .protocol import AngleSet, InputPair, Transcript, run_batch, run_once
 from .state import SchmidtPair, epr_state
 
 EPR_STRATEGY_VALUE = math.cos(math.pi / 8) ** 2
@@ -54,3 +54,23 @@ def simulate_concentration_run(
         return run_once(epr_state(), EPR_ANGLES, inputs, rng)
     # The baseline sends the raw high bits: the strategy whose measured bits are 0, 0.
     return Transcript.from_outcome(inputs, 0, 0)
+
+
+def simulate_concentration_batch(
+    pair: SchmidtPair, xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rounds of concentrate-then-play on inputs (xs[i], ys[i]); returns a, b, success.
+
+    Draws one block of ``len(xs)`` distillation coins, then, via
+    ``run_batch``, one block of uniforms with one per distilled round.  That
+    draw order differs from looping ``simulate_concentration_run``, which
+    interleaves each round's coin and measurement; the two agree only for a
+    batch of one.  Undistilled rounds play the baseline (a = b = 0).
+    """
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    distilled = rng.random(xs.shape) < concentration_success_probability(pair)
+    a, b = np.zeros(xs.shape, dtype=np.int8), np.zeros(xs.shape, dtype=np.int8)
+    a[distilled], b[distilled], _ = run_batch(
+        epr_state(), EPR_ANGLES, xs[distilled], ys[distilled], rng
+    )
+    return a, b, (a ^ b) == (xs & ys & 1)

@@ -189,27 +189,58 @@ def run_once(
     return Transcript.from_outcome(inputs, k >> 1, k & 1)
 
 
+def run_batch(
+    pair: SchmidtPair,
+    angles: AngleSet,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Play one round per input pair (xs[i], ys[i]); returns arrays a, b, success.
+
+    Draws one block of ``len(xs)`` uniforms, one per round in order, so the
+    outcomes and the generator's final state are those of looping
+    ``run_once`` over the same inputs and generator.
+    """
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    row = 2 * (xs & 1) + (ys & 1)
+    us = rng.random(xs.shape)
+    k = np.zeros(xs.shape, dtype=np.int8)
+    for column in zip(*_outcome_edges(pair, angles)):  # one edge of every row
+        k += us >= np.array(column)[row]
+    a, b = k >> 1, k & 1
+    return a, b, (a ^ b) == (row == 3)  # x0 AND y0 is 1 only on row 3
+
+
+# Trials per monte_carlo chunk: bounds its memory whatever ``trials`` is.
+_CHUNK = 2**16
+
+
 def monte_carlo(
     pair: SchmidtPair, angles: AngleSet, trials: int, seed: int
 ) -> MonteCarloResult:
     """Estimate the success probability from ``trials`` sampled executions.
 
-    Inputs (x, y) are uniform over all 16 pairs each trial.  The run is
-    sequential over a single generator seeded with ``seed`` and draws, in
-    order: one (trials, 2) block of input words, then one block of ``trials``
+    Inputs (x, y) are uniform over all 16 pairs each trial.  The draw order
+    is that of a single generator seeded with ``seed`` drawing, in order, one
+    (trials, 2) block of input words and then one block of ``trials``
     uniforms for the measurements -- fixed, so results are bit-reproducible.
+    Both blocks are drawn in chunks of at most ``_CHUNK`` trials, which
+    bounds memory: the input words from that generator, the uniforms from a
+    twin seeded alike and advanced past the input block (one 64-bit word per
+    trial, as numpy packs two small integers into each).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # Only (x0, y0) selects the rotated state; one row of outcome edges each.
-    edges = np.array(_outcome_edges(pair, angles))
-    rng = np.random.default_rng(seed)
-    combo = (rng.integers(0, 4, size=(trials, 2)) & 1) @ np.array([2, 1])  # 2*x0 + y0
-    us = rng.random(trials)
-    outcomes = (us[:, None] >= edges[combo]).sum(axis=1)
-    # Success when the outcome parity a XOR b equals x0 AND y0, i.e. odd only on combo 3.
-    successes = ((outcomes >> 1) ^ (outcomes & 1)) == (combo == 3)
-    tally = np.bincount(2 * combo + successes, minlength=8).reshape(4, 2)
+    inputs = np.random.default_rng(seed)
+    uniforms = np.random.default_rng(seed)
+    uniforms.bit_generator.advance(trials)
+    tally = np.zeros((4, 2), dtype=np.int64)
+    for start in range(0, trials, _CHUNK):
+        xy = inputs.integers(0, 4, size=(min(_CHUNK, trials - start), 2))
+        xs, ys = xy[:, 0], xy[:, 1]
+        success = run_batch(pair, angles, xs, ys, uniforms)[2]
+        tally += np.bincount(4 * (xs & 1) + 2 * (ys & 1) + success, minlength=8).reshape(4, 2)
 
     counts = {
         (row >> 1, row & 1): (int(wins), int(wins + losses))

@@ -7,6 +7,7 @@ from qccsim.concentration import (
     EPR_ANGLES,
     concentration_strategy_value,
     concentration_success_probability,
+    simulate_concentration_batch,
     simulate_concentration_run,
 )
 from qccsim.optimize import optimal_closed_form
@@ -137,9 +138,29 @@ def test_simulated_runs_match_value():
     rng = np.random.default_rng(601)
     n = 10**6
     xy = rng.integers(0, 4, size=(n, 2))
-    wins = 0
-    for x, y in xy:
-        wins += simulate_concentration_run(pair, InputPair(int(x), int(y)), rng).success
+    wins = int(simulate_concentration_batch(pair, xy[:, 0], xy[:, 1], rng)[2].sum())
     estimate = wins / n
     sigma = math.sqrt(estimate * (1.0 - estimate) / n)
     assert abs(estimate - 0.80177669529663687) < 5.0 * sigma
+
+
+def test_batch_of_one_equals_simulate_concentration_run():
+    pair = pair_for_beta_sq(0.25)
+    rng, twin = np.random.default_rng(602), np.random.default_rng(602)
+    for i in range(300):
+        x, y = i % 4, (i // 4) % 4
+        a, b, success = simulate_concentration_batch(pair, [x], [y], rng)
+        t = simulate_concentration_run(pair, InputPair(x, y), twin)
+        assert (int(a[0]), int(b[0]), bool(success[0])) == (t.a, t.b, t.success)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_batch_draws_coins_then_one_uniform_per_distilled_round():
+    pair = pair_for_beta_sq(0.25)
+    rng, twin = np.random.default_rng(603), np.random.default_rng(603)
+    i = np.arange(1000)
+    a, b, _ = simulate_concentration_batch(pair, i % 4, (i // 4) % 4, rng)
+    distilled = twin.random(1000) < concentration_success_probability(pair)
+    twin.random(int(distilled.sum()))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert not a[~distilled].any() and not b[~distilled].any()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qccsim.protocol import (
     closed_form_p,
     exact_success_probability,
     monte_carlo,
+    run_batch,
     run_once,
     target_function,
 )
@@ -210,15 +212,15 @@ def test_run_once_deterministic_states():
 
 
 def test_run_once_epr_outcome_frequencies():
+    # run_batch draws as run_once does round by round (pinned below), so this
+    # counts the outcomes of 10^6 looped rounds cycling through all 16 inputs.
     pair, angles = epr_state(), AngleSet(0.0, 0.0)
-    inputs = [InputPair(x, y) for x in range(4) for y in range(4)]
     rng = np.random.default_rng(2024)
     draws = 10**6
-    n00 = 0
-    for i in range(draws):
-        t = run_once(pair, angles, inputs[i & 15], rng)
-        assert t.a == t.b  # only 00 and 11 have weight
-        n00 += t.a == 0
+    i = np.arange(draws) & 15
+    a, b, _ = run_batch(pair, angles, i >> 2, i & 3, rng)
+    assert (a == b).all()  # only 00 and 11 have weight
+    n00 = int((a == 0).sum())
     assert abs(n00 / draws - 0.5) < 0.002
 
 
@@ -246,10 +248,23 @@ def test_run_once_long_run_success_rate():
     rng = np.random.default_rng(404)
     runs = 10**6
     xy = rng.integers(0, 4, size=(runs, 2))
-    hits = 0
-    for x, y in xy:
-        hits += run_once(epr_state(), EPR_ANGLES, InputPair(int(x), int(y)), rng).success
+    hits = int(run_batch(epr_state(), EPR_ANGLES, xy[:, 0], xy[:, 1], rng)[2].sum())
     assert abs(hits / runs - COS2_PI8) < 0.002
+
+
+@pytest.mark.parametrize("chi,seed", [(-math.pi / 4, 51), (-0.5, 52)])
+def test_run_batch_equals_looped_run_once(chi, seed):
+    pair = make_shared_state(chi)
+    angles = AngleSet(0.2, -0.4)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    xy = rng.integers(0, 4, size=(1000, 2))
+    twin.integers(0, 4, size=(1000, 2))
+    a, b, success = run_batch(pair, angles, xy[:, 0], xy[:, 1], rng)
+    looped = [run_once(pair, angles, InputPair(int(x), int(y)), twin) for x, y in xy]
+    assert [(int(ai), int(bi), bool(si)) for ai, bi, si in zip(a, b, success)] == [
+        (t.a, t.b, t.success) for t in looped
+    ]
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 # --- Monte Carlo harness ------------------------------------------------------
@@ -306,6 +321,44 @@ def test_monte_carlo_tallies_equal_looped_run_once(chi):
         tally[1] += 1
     want = {key: tuple(tally) for key, tally in counts.items()}
     assert monte_carlo(pair, angles, n, seed).per_input_counts == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1])
+def test_input_block_advances_one_word_per_row(n):
+    # monte_carlo draws its uniforms from a twin advanced by `trials` words,
+    # which holds because numpy packs two small integers per 64-bit word.
+    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+    rng.integers(0, 4, size=(n, 2))
+    twin.bit_generator.advance(n)
+    drew, advanced = rng.bit_generator.state, twin.bit_generator.state
+    # With no 32-bit half buffered, the stale "uinteger" field is never read.
+    assert drew["has_uint32"] == advanced["has_uint32"] == 0
+    assert drew["state"] == advanced["state"]
+    assert rng.random(4).tolist() == twin.random(4).tolist()
+
+
+def test_chunked_input_draws_concatenate():
+    n = 3 * 2**16 + 5
+    whole = np.random.default_rng(9).integers(0, 4, size=(n, 2))
+    for size in (2**16, 4099, 2**17 - 3):
+        rng = np.random.default_rng(9)
+        parts = [rng.integers(0, 4, size=(min(size, n - s), 2)) for s in range(0, n, size)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_monte_carlo_memory_is_bounded():
+    # Chunked draws: the peak does not grow with the number of trials.
+    pair, angles = make_shared_state(-0.5), AngleSet(0.2, -0.4)
+    peaks = []
+    for trials in (2**17, 2**22):
+        tracemalloc.start()
+        try:
+            monte_carlo(pair, angles, trials, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    assert peaks[1] < 8 * 2**20
 
 
 def test_monte_carlo_within_five_sigma_across_seeds():
