@@ -118,6 +118,13 @@ def capture() -> dict:
             "chi=-0.5 3*2^16+5": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4),
                                          3 * 2**16 + 5, 11),
             "epr 10^6": _counts(epr_state(), EPR_ANGLES, 10**6, 12),
+            # so few trials that some rows get none
+            **{f"chi=-0.5 trials={n}": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4),
+                                               n, 13) for n in (1, 2, 3)},
+            # alpha*beta > 0, one trial past a whole chunk
+            "ab>0 2^16+1": _counts(SchmidtPair.from_amplitudes(0.8, 0.6), AngleSet(0.3, -1.1),
+                                   2**16 + 1, 14),
+            "epr seed=2^40+3": _counts(epr_state(), EPR_ANGLES, 30_000, 2**40 + 3),
         },
     }
 
