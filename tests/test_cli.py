@@ -248,6 +248,14 @@ def test_simulate_rejects_zero_trials(capsys):
     assert code == 2
 
 
+def test_simulate_rejects_negative_seed(capsys):
+    argv = ["simulate", "--chi", "-30", "--trials", "10", "--seed", "-1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be >= 0\n"
+
+
 def test_simulate_json(capsys):
     code, out, _ = run_cli(
         ["simulate", "--chi", "-15", "--trials", "1000", "--seed", "3", "--format", "json"],

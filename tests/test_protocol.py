@@ -7,6 +7,7 @@ import pytest
 from qccsim.protocol import (
     AngleSet,
     InputPair,
+    _input_rows,
     closed_form_p,
     exact_success_probability,
     monte_carlo,
@@ -335,6 +336,44 @@ def test_input_block_advances_one_word_per_row(n):
     assert drew["has_uint32"] == advanced["has_uint32"] == 0
     assert drew["state"] == advanced["state"]
     assert rng.random(4).tolist() == twin.random(4).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**40 + 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1])
+def test_input_rows_read_integers_from_raw_words(n, seed):
+    # monte_carlo reads its input block as raw words; integers() must see the same rows.
+    rng, raw = np.random.default_rng(seed), np.random.default_rng(seed)
+    xy = rng.integers(0, 4, size=(n, 2))
+    rows = _input_rows(raw.bit_generator.random_raw(n))
+    assert rows.dtype == np.intp
+    assert np.array_equal(rows, 2 * (xy[:, 0] & 1) + (xy[:, 1] & 1))
+    drew, read = rng.bit_generator.state, raw.bit_generator.state
+    # integers() leaves a stale, unread "uinteger" behind; everything else must agree.
+    assert drew["has_uint32"] == read["has_uint32"] == 0
+    assert drew["state"] == read["state"]
+    assert rng.random(4).tolist() == raw.random(4).tolist()
+
+
+@pytest.mark.parametrize(
+    "pair,angles",
+    [
+        (make_shared_state(-0.5), AngleSet(0.2, -0.4)),
+        (SchmidtPair.from_amplitudes(0.8, 0.6), AngleSet(0.3, -1.1)),  # alpha*beta > 0
+    ],
+)
+def test_monte_carlo_follows_documented_draw_order(pair, angles):
+    # The documented order, drawn in one piece: the whole (trials, 2) integer
+    # block, then one block of trials uniforms, played through run_batch.
+    trials, seed = 3 * 2**16 + 5, 17
+    rng = np.random.default_rng(seed)
+    xy = rng.integers(0, 4, size=(trials, 2))
+    success = run_batch(pair, angles, xy[:, 0], xy[:, 1], rng)[2]
+    want = {}
+    for x0 in (0, 1):
+        for y0 in (0, 1):
+            mask = ((xy[:, 0] & 1) == x0) & ((xy[:, 1] & 1) == y0)
+            want[(x0, y0)] = (int(success[mask].sum()), int(mask.sum()))
+    assert monte_carlo(pair, angles, trials, seed).per_input_counts == want
 
 
 def test_chunked_input_draws_concatenate():
