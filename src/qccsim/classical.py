@@ -21,7 +21,6 @@ never passes through floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -33,8 +32,7 @@ MODE_SEQUENTIAL = "sequential"
 N_INPUT_PAIRS = 16
 
 
-@dataclass(frozen=True)
-class DeterministicProtocol:
+class DeterministicProtocol(NamedTuple):
     """Lookup tables of one deterministic protocol.
 
     ``msg_alice[x]`` is Alice's message bit.  In simultaneous mode
@@ -50,8 +48,7 @@ class DeterministicProtocol:
     out_bob: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     best_success_count: int
     best_probability: Fraction
     witness: DeterministicProtocol
@@ -132,7 +129,7 @@ def _cell_scores() -> np.ndarray:
     a = np.arange(2)[None, :, None, None]
     y = np.arange(4)[None, None, :, None]
     ob = np.arange(256)
-    f = (x >> 1) ^ (y >> 1) ^ (x & y & 1)
+    f = _target(x, y)
     bob_right = ((ob >> (2 * y + a)) & 1) == f
     received = (np.arange(16)[:, None] >> np.arange(4)) & 1  # [p, y]
     wins = [(bob_right & (f == bit)).astype(np.int64) for bit in (0, 1)]  # [x, a, y, ob]

@@ -17,12 +17,11 @@ in memory (``sweep --steps 1000000000000000``), 2 usage or domain error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
 import sys
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,8 +41,7 @@ AMPLITUDE_NORM_TOL = 1e-4
 _NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One sweep grid point: state parameters, optimal angles, and the
     direct (p_max) and concentrate-then-play (p_concentration) values.
 
@@ -64,26 +62,25 @@ class SweepRecord:
     p11: float
 
 
-CSV_HEADER = ",".join(f.name for f in dataclasses.fields(SweepRecord))
+CSV_HEADER = ",".join(SweepRecord._fields)
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _write(args: argparse.Namespace, body: dict, text: Callable[[], str]) -> None:
-    """Write one result to ``--out`` (default stdout).
-
-    With ``--format json`` that is ``{"meta": ..., **body}``; otherwise it is
-    ``text()``, called only then: a sweep's CSV costs as much as its records.
-    """
+def _write(args: argparse.Namespace, body: Callable[[], dict],
+           text: Callable[[], str]) -> None:
+    """Write one result to ``--out`` (default stdout): ``{"meta": ..., **body()}``
+    with ``--format json``, else ``text()``.  Only the chosen one is called, as
+    a sweep's JSON dicts and CSV rows each cost about as much as its records."""
     if args.format == "json":
         flags = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
         meta = {"tool": "qccsim", "version": __version__, "command": args.command,
                 "seed": getattr(args, "seed", None), "flags": flags}
         # Strict JSON: a non-finite float raises ValueError (exit 2) instead of
         # printing the non-standard tokens NaN or Infinity.
-        out = json.dumps({"meta": meta, **body}, indent=2, allow_nan=False) + "\n"
+        out = json.dumps({"meta": meta, **body()}, indent=2, allow_nan=False) + "\n"
     else:
         out = text()
     if args.out is None:
@@ -150,7 +147,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         ("closed_form", closed),
         ("difference", abs(report.total - closed)),
     ]
-    _write(args, {"record": dict(fields)}, lambda: _kv_report(fields))
+    _write(args, lambda: {"record": dict(fields)}, lambda: _kv_report(fields))
     return 0
 
 
@@ -173,7 +170,7 @@ def cmd_optimal(args: argparse.Namespace) -> int:
         ("numeric_p_max", numeric.p_max),
         ("discrepancy", discrepancy),
     ]
-    _write(args, {"record": dict(fields)}, lambda: _kv_report(fields))
+    _write(args, lambda: {"record": dict(fields)}, lambda: _kv_report(fields))
     if discrepancy > OPTIMAL_DISCREPANCY_LIMIT:
         print(
             f"error: closed-form/numeric discrepancy {discrepancy:.3e} exceeds "
@@ -218,10 +215,8 @@ def sweep_records(chis: list[float]) -> list[SweepRecord]:
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
-    # vars(r) holds the fields in declaration order, as CSV_HEADER does;
-    # dataclasses.astuple would deep-copy every value at 3x the formatting cost.
     lines = [CSV_HEADER]
-    lines.extend(",".join(map(_fmt, vars(r).values())) for r in records)
+    lines.extend(",".join(map(_fmt, r)) for r in records)
     return "\n".join(lines) + "\n"
 
 
@@ -230,7 +225,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--steps must be >= 2")
     chis = np.linspace(math.radians(args.chi_start), math.radians(args.chi_end), args.steps)
     records = sweep_records(list(chis))
-    _write(args, {"records": [vars(r) for r in records]}, lambda: records_to_csv(records))
+    _write(args, lambda: {"records": [r._asdict() for r in records]},
+           lambda: records_to_csv(records))
     return 0
 
 
@@ -266,7 +262,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         per_input_counts={k: list(v) for k, v in tallies.items()},
     )
     per_input = [(f"per_input {k}", f"{s}/{n}") for k, (s, n) in tallies.items()]
-    _write(args, {"record": record}, lambda: _kv_report(fields + per_input))
+    _write(args, lambda: {"record": record}, lambda: _kv_report(fields + per_input))
     return 0
 
 
@@ -292,7 +288,7 @@ def cmd_classical(args: argparse.Namespace) -> int:
         ("protocols_examined", result.protocols_examined),
         *((f"witness_{name}", "".join(map(str, table))) for name, table in tables.items()),
     ]
-    _write(args, {"record": record}, lambda: _kv_report(fields))
+    _write(args, lambda: {"record": record}, lambda: _kv_report(fields))
     return 0
 
 

@@ -10,11 +10,11 @@ objective has symmetries, so the maximizing angles need not coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .protocol import total_success_closed_form
+from .protocol import AngleSet, closed_form_p
 from .state import SchmidtPair
 
 ACOS_CLAMP_TOL = 1e-9
@@ -22,8 +22,7 @@ GRID_STEPS = 256  # optimal_numeric's scan is GRID_STEPS x GRID_STEPS
 REFINE_ITERS = 40  # compass-search step halvings after the scan
 
 
-@dataclass(frozen=True)
-class AngleSolution:
+class AngleSolution(NamedTuple):
     """A maximizer: angles, the auxiliary ratio ``t`` entering the arccos
     arguments (4*alpha*beta / sqrt(1 + 4*alpha^2*beta^2)), and the achieved
     success probability."""
@@ -46,22 +45,26 @@ def _clamped_acos(x: float) -> float:
     return math.acos(x)
 
 
-def _aux_ratio(ab: float) -> float:
-    return 4.0 * ab / math.sqrt(1.0 + 4.0 * ab * ab)
-
-
 def optimal_closed_form(pair: SchmidtPair) -> AngleSolution:
     """Analytic optimum of the success probability for alpha*beta <= 0.
 
     p_max = 1/2 + (1/4) sqrt(1 + 4 alpha^2 beta^2), attained at
     phi1 = -(1/4) arccos((1 + 2ab - t) / (1 - 2ab)) and
     phi2 =  (1/4) arccos((1 + 2ab + t) / (1 - 2ab)) with ab = alpha*beta.
-    Arguments drifting past +-1 by at most 1e-9 are clamped; pairs with
-    alpha*beta > 0 are rejected (use optimal_numeric to explore those).
+    Arguments drifting past +-1 by at most 1e-9 are clamped.
+
+    Pairs with alpha*beta > 0 are rejected.  There, both parties sharing one
+    angle pair reach only the classical 3/4 (``optimal_numeric`` returns 3/4
+    at chi = 11.25, 22.5 and 45 degrees).  The same p_max is still reached
+    if Alice plays (phi1, phi2) and Bob (-phi1, -phi2), with the angles of
+    (alpha, -beta): Z on Bob's qubit flips the sign of beta, and
+    Z R(t) Z = R(-t).
     """
     ab = pair.alpha * pair.beta
     if ab > 0.0:
-        raise ValueError("closed-form optimum requires alpha*beta <= 0")
+        raise ValueError("closed-form optimum requires alpha*beta <= 0 (for alpha*beta > 0, shared"
+                         " angles reach only 3/4; Bob on (-phi1, -phi2) with the angles of"
+                         " (alpha, -beta) reaches p_max)")
     root = math.sqrt(1.0 + 4.0 * ab * ab)
     t = 4.0 * ab / root
     den = 1.0 - 2.0 * ab
@@ -78,10 +81,9 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
     REFINE_ITERS rounds of compass search with a halving step.  Deterministic:
     grid ties resolve to the lexicographically smallest (phi1, phi2).
     """
-    ab = pair.alpha * pair.beta
     grid = -0.5 * math.pi + math.pi * np.arange(GRID_STEPS) / GRID_STEPS
     p1_mesh, p2_mesh = np.meshgrid(grid, grid, indexing="ij")
-    values = total_success_closed_form(ab, p1_mesh, p2_mesh)
+    values = closed_form_p(pair, AngleSet(p1_mesh, p2_mesh))
     flat = int(np.argmax(values))
     phi1 = float(grid[flat // GRID_STEPS])
     phi2 = float(grid[flat % GRID_STEPS])
@@ -95,11 +97,12 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
             moved = False
             inner += 1
             for d1, d2 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                cand = float(total_success_closed_form(ab, phi1 + d1, phi2 + d2))
+                cand = float(closed_form_p(pair, AngleSet(phi1 + d1, phi2 + d2)))
                 if cand > best:
                     best, phi1, phi2 = cand, phi1 + d1, phi2 + d2
                     moved = True
         step *= 0.5
 
-    return AngleSolution(phi1, phi2, _aux_ratio(ab), best)
+    ab = pair.alpha * pair.beta
+    return AngleSolution(phi1, phi2, 4.0 * ab / math.sqrt(1.0 + 4.0 * ab * ab), best)
 

@@ -159,22 +159,22 @@ def exact_success_probability(pair: SchmidtPair, angles: AngleSet) -> PerInputRe
     return PerInputReport(p00, p01, p10, p11, (p00 + p01 + p10 + p11) / 4.0)
 
 
-def total_success_closed_form(ab, phi1, phi2):
-    """Closed-form total success probability as a function of alpha*beta.
+def closed_form_p(pair: SchmidtPair, angles: AngleSet) -> float | np.ndarray:
+    """Total success probability of the strategy, in closed form.
 
-    Elementwise on numpy arrays, which is what the numeric optimizer scans.
+    Depends on the state only through alpha*beta.  Elementwise like
+    ``exact_success_probability``: the fields of ``pair`` and ``angles`` may
+    be numpy arrays, and the result then broadcasts over them (the numeric
+    optimizer scans a whole angle grid in one call).
     """
+    ab = pair.alpha * pair.beta
+    phi1, phi2 = angles
     return (
         0.5
         + 0.25 * np.cos(2.0 * phi1) * np.cos(2.0 * phi2)
         + 0.5 * ab * np.sin(2.0 * phi1) * np.sin(2.0 * phi2)
         + 0.125 * (1.0 - 2.0 * ab) * (np.sin(2.0 * phi2) ** 2 - np.sin(2.0 * phi1) ** 2)
     )
-
-
-def closed_form_p(pair: SchmidtPair, angles: AngleSet) -> float:
-    """Total success probability of the strategy, in closed form."""
-    return float(total_success_closed_form(pair.alpha * pair.beta, angles.phi1, angles.phi2))
 
 
 def run_once(

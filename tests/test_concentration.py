@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from qccsim.classical import baseline_protocol, run_protocol
 from qccsim.concentration import (
@@ -144,8 +145,9 @@ def test_simulated_runs_match_value():
     assert abs(estimate - 0.80177669529663687) < 5.0 * sigma
 
 
-def test_batch_of_one_equals_simulate_concentration_run():
-    pair = pair_for_beta_sq(0.25)
+@pytest.mark.parametrize("beta_sq", [0.0, 0.25, 0.5])  # no, some and every round distilled
+def test_batch_of_one_equals_simulate_concentration_run(beta_sq):
+    pair = pair_for_beta_sq(beta_sq)
     rng, twin = np.random.default_rng(602), np.random.default_rng(602)
     for i in range(300):
         x, y = i % 4, (i // 4) % 4

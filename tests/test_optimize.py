@@ -5,7 +5,7 @@ import pytest
 
 from qccsim.optimize import optimal_closed_form, optimal_numeric
 from qccsim.protocol import AngleSet, closed_form_p
-from qccsim.state import SchmidtPair, epr_state, make_shared_state
+from qccsim.state import SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 CHI_GRID = [float(c) for c in np.linspace(-math.pi / 4, 0.0, 33)]
@@ -72,14 +72,26 @@ def test_numeric_endpoint_values():
 
 
 def test_numeric_accepts_positive_product():
-    # Outside the closed form's domain the search still runs; it only reports
-    # what the shared-angle strategy space achieves there (no formula is
-    # asserted -- the alpha*beta > 0 regime is exploratory).
-    pair = SchmidtPair.from_amplitudes(0.8, 0.6)
-    numeric = optimal_numeric(pair)
-    achieved = closed_form_p(pair, AngleSet(numeric.phi1, numeric.phi2))
-    assert abs(numeric.p_max - achieved) < 1e-12
-    assert 0.5 <= numeric.p_max <= 0.5 + math.sqrt(2.0) / 4.0 + 1e-12
+    # For alpha*beta > 0, angles shared by both parties reach only the
+    # classical 3/4.  Bob playing (-phi1, -phi2), with the closed-form angles
+    # of (alpha, -beta), still reaches p_max: Z on his qubit flips the sign of
+    # beta, and Z R(t) Z = R(-t).
+    x0, y0 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    for chi_deg in (11.25, 22.5, 45.0):
+        alpha, beta = math.cos(math.radians(chi_deg)), math.sin(math.radians(chi_deg))
+        pair = SchmidtPair.from_amplitudes(alpha, beta)
+        numeric = optimal_numeric(pair)
+        achieved = closed_form_p(pair, AngleSet(numeric.phi1, numeric.phi2))
+        assert abs(numeric.p_max - achieved) < 1e-12
+        assert abs(numeric.p_max - 0.75) < 1e-12
+
+        sol = optimal_closed_form(SchmidtPair.from_amplitudes(alpha, -beta))
+        phi_a = np.where(x0, sol.phi2, sol.phi1)
+        phi_b = np.where(y0, -sol.phi2, -sol.phi1)
+        probs = rotated_amplitudes(alpha, beta, phi_a, phi_b) ** 2  # [2*x0 + y0, outcome]
+        wins = np.where(x0 & y0, probs[:, 1] + probs[:, 2], probs[:, 0] + probs[:, 3])
+        p_max = 0.5 + math.sqrt(1.0 + 4.0 * (alpha * beta) ** 2) / 4.0
+        assert abs(wins.mean() - p_max) < 1e-12
 
 
 def test_closed_form_p_never_exceeds_p_max():

@@ -376,15 +376,6 @@ def test_monte_carlo_follows_documented_draw_order(pair, angles):
     assert monte_carlo(pair, angles, trials, seed).per_input_counts == want
 
 
-def test_chunked_input_draws_concatenate():
-    n = 3 * 2**16 + 5
-    whole = np.random.default_rng(9).integers(0, 4, size=(n, 2))
-    for size in (2**16, 4099, 2**17 - 3):
-        rng = np.random.default_rng(9)
-        parts = [rng.integers(0, 4, size=(min(size, n - s), 2)) for s in range(0, n, size)]
-        assert np.array_equal(np.concatenate(parts), whole)
-
-
 def test_monte_carlo_memory_is_bounded():
     # Chunked draws: the peak does not grow with the number of trials.
     pair, angles = make_shared_state(-0.5), AngleSet(0.2, -0.4)
