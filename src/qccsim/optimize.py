@@ -82,8 +82,7 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
     grid ties resolve to the lexicographically smallest (phi1, phi2).
     """
     grid = -0.5 * math.pi + math.pi * np.arange(GRID_STEPS) / GRID_STEPS
-    p1_mesh, p2_mesh = np.meshgrid(grid, grid, indexing="ij")
-    values = closed_form_p(pair, AngleSet(p1_mesh, p2_mesh))
+    values = closed_form_p(pair, AngleSet(grid[:, None], grid[None, :]))  # [phi1, phi2]
     flat = int(np.argmax(values))
     phi1 = float(grid[flat // GRID_STEPS])
     phi2 = float(grid[flat % GRID_STEPS])

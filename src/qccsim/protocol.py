@@ -189,11 +189,19 @@ def run_once(
     return Transcript.from_outcome(inputs, k >> 1, k & 1)
 
 
-def _outcomes(pair: SchmidtPair, angles: AngleSet, row: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Outcome k (int8, basis order) of each round at table row ``row`` drawing uniform ``us``."""
+def _edge_columns(pair: SchmidtPair, angles: AngleSet) -> np.ndarray:
+    """``_outcome_edges`` transposed to a (3, 4) array: line j holds edge j of every table row."""
+    return np.array(_outcome_edges(pair, angles)).T
+
+
+def _outcomes(columns: np.ndarray, row: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Outcome k (int8, basis order) of each round at table row ``row`` drawing uniform ``us``.
+
+    ``columns`` comes from ``_edge_columns``.
+    """
     k = np.zeros(row.shape, dtype=np.int8)
-    for column in zip(*_outcome_edges(pair, angles)):  # one edge of every row
-        k += us >= np.array(column)[row]
+    for column in columns:
+        k += us >= column[row]
     return k
 
 
@@ -212,13 +220,17 @@ def run_batch(
     """
     xs, ys = np.asarray(xs), np.asarray(ys)
     row = 2 * (xs & 1) + (ys & 1)
-    k = _outcomes(pair, angles, row, rng.random(xs.shape))
+    k = _outcomes(_edge_columns(pair, angles), row, rng.random(xs.shape))
     a, b = k >> 1, k & 1
     return a, b, (a ^ b) == (row == 3)  # x0 AND y0 is 1 only on row 3
 
 
-# Trials per monte_carlo chunk: bounds its memory whatever ``trials`` is.
-_CHUNK = 2**16
+# Trials per monte_carlo chunk: bounds its memory whatever ``trials`` is, and
+# keeps each per-chunk array at most 128 KiB (see monte_carlo).
+_CHUNK = 2**14
+
+_SHIFT_X0, _SHIFT_Y0 = np.uint64(29), np.uint64(62)
+_MASK_X0, _MASK_Y0 = np.uint64(2), np.uint64(1)
 
 
 def _input_rows(words: np.ndarray) -> np.ndarray:
@@ -228,9 +240,9 @@ def _input_rows(words: np.ndarray) -> np.ndarray:
     32-bit half of a 64-bit word, the low half first: x is bits 30-31 and y
     bits 62-63, so x0 is bit 30 and y0 bit 62.
     """
-    # One expression, so numpy reuses its temporaries in place (about 1 MB less peak RSS).
+    # One expression, so numpy reuses its temporaries in place (two fewer chunk-sized arrays).
     return (
-        (words >> np.uint64(29)) & np.uint64(2) | (words >> np.uint64(62)) & np.uint64(1)
+        (words >> _SHIFT_X0) & _MASK_X0 | (words >> _SHIFT_Y0) & _MASK_Y0
     ).astype(np.intp)
 
 
@@ -249,6 +261,12 @@ def monte_carlo(
     ``_CHUNK`` trials, which bounds memory: the input words from that
     generator, the uniforms from a twin seeded alike and advanced past the
     input block.  Raises ValueError if ``trials`` < 1 or ``seed`` < 0.
+
+    A chunk is 2**14 trials, so each of its arrays (words, rows, uniforms)
+    is at most 128 KiB and a chunk's whole working set, about 1 MiB, stays
+    in a 2 MiB per-core L2 cache.  Larger chunks spill it, and their
+    arrays are big enough that malloc hands their pages back to the kernel
+    between chunks, so every chunk faults them in again.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -257,11 +275,12 @@ def monte_carlo(
     inputs = np.random.default_rng(seed)
     uniforms = np.random.default_rng(seed)
     uniforms.bit_generator.advance(trials)
+    columns = _edge_columns(pair, angles)
     histogram = np.zeros(16, dtype=np.int64)  # trials per (row, outcome), index 4*row + k
     for start in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - start)
         row = _input_rows(inputs.bit_generator.random_raw(n))
-        k = _outcomes(pair, angles, row, uniforms.random(n))
+        k = _outcomes(columns, row, uniforms.random(n))
         histogram += np.bincount(4 * row + k, minlength=16)
 
     histogram = histogram.reshape(4, 4)

@@ -104,3 +104,26 @@ def brute_force_best_simultaneous() -> tuple[int, int, int, int, int]:
                 oa, ob = divmod(int(counts.argmax()), 256)
                 best = (top, ma, mb, oa, ob)
     return best
+
+
+_PAULIS = (
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]]),
+)
+
+
+def horodecki_bound(alpha: float, beta: float) -> float:
+    """Largest win probability of any projective strategy on alpha|00> + beta|11>.
+
+    A round is won exactly when a XOR b = x0 AND y0, so the low-bit game is
+    CHSH, won with probability 1/2 + B/8 for CHSH value B.  By the Horodecki
+    criterion (Phys. Lett. A 200, 340 (1995)) the largest B over all
+    projective measurements is 2 sqrt(s1^2 + s2^2), where s1 >= s2 are the
+    top singular values of the correlation matrix T_ij = <sigma_i x sigma_j>.
+    """
+    psi = np.array([alpha, 0.0, 0.0, beta], dtype=complex)
+    corr = np.array([[(psi.conj() @ np.kron(si, sj) @ psi).real for sj in _PAULIS]
+                     for si in _PAULIS])
+    s1, s2, _ = np.linalg.svd(corr, compute_uv=False)
+    return 0.5 + math.sqrt(s1 * s1 + s2 * s2) / 4.0

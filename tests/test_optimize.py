@@ -6,9 +6,29 @@ import pytest
 from qccsim.optimize import optimal_closed_form, optimal_numeric
 from qccsim.protocol import AngleSet, closed_form_p
 from qccsim.state import SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
+from oracles import horodecki_bound
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 CHI_GRID = [float(c) for c in np.linspace(-math.pi / 4, 0.0, 33)]
+# Both signs of alpha*beta: chi > 0 gives alpha*beta > 0.
+SIGNED_CHI_GRID = [float(c) for c in np.linspace(-math.pi / 4, math.pi / 4, 17)]
+_X0, _Y0 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+
+
+def _p_max(alpha, beta):
+    return 0.5 + math.sqrt(1.0 + 4.0 * (alpha * beta) ** 2) / 4.0
+
+
+def _four_angle_win(alpha, beta, a0, a1, b0, b1):
+    """Win probability when Alice turns by a0 or a1 on x0 = 0 or 1, and Bob by b0 or b1 on y0.
+
+    The angles broadcast; the result has their shape.
+    """
+    phi_a = np.where(_X0, np.asarray(a1)[..., None], np.asarray(a0)[..., None])
+    phi_b = np.where(_Y0, np.asarray(b1)[..., None], np.asarray(b0)[..., None])
+    probs = rotated_amplitudes(alpha, beta, phi_a, phi_b) ** 2  # [..., 2*x0 + y0, outcome]
+    wins = np.where(_X0 & _Y0, probs[..., 1] + probs[..., 2], probs[..., 0] + probs[..., 3])
+    return wins.mean(axis=-1)
 
 
 def test_epr_solution_reproduces_known_angles():
@@ -76,7 +96,6 @@ def test_numeric_accepts_positive_product():
     # classical 3/4.  Bob playing (-phi1, -phi2), with the closed-form angles
     # of (alpha, -beta), still reaches p_max: Z on his qubit flips the sign of
     # beta, and Z R(t) Z = R(-t).
-    x0, y0 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
     for chi_deg in (11.25, 22.5, 45.0):
         alpha, beta = math.cos(math.radians(chi_deg)), math.sin(math.radians(chi_deg))
         pair = SchmidtPair.from_amplitudes(alpha, beta)
@@ -86,12 +105,37 @@ def test_numeric_accepts_positive_product():
         assert abs(numeric.p_max - 0.75) < 1e-12
 
         sol = optimal_closed_form(SchmidtPair.from_amplitudes(alpha, -beta))
-        phi_a = np.where(x0, sol.phi2, sol.phi1)
-        phi_b = np.where(y0, -sol.phi2, -sol.phi1)
-        probs = rotated_amplitudes(alpha, beta, phi_a, phi_b) ** 2  # [2*x0 + y0, outcome]
-        wins = np.where(x0 & y0, probs[:, 1] + probs[:, 2], probs[:, 0] + probs[:, 3])
-        p_max = 0.5 + math.sqrt(1.0 + 4.0 * (alpha * beta) ** 2) / 4.0
-        assert abs(wins.mean() - p_max) < 1e-12
+        relabeled = _four_angle_win(alpha, beta, sol.phi1, sol.phi2, -sol.phi1, -sol.phi2)
+        assert abs(relabeled - _p_max(alpha, beta)) < 1e-12
+
+
+@pytest.mark.parametrize("chi", SIGNED_CHI_GRID)
+def test_horodecki_certificate_equals_p_max(chi):
+    alpha, beta = math.cos(chi), math.sin(chi)
+    assert abs(horodecki_bound(alpha, beta) - _p_max(alpha, beta)) <= 1e-12
+
+
+def test_random_four_angle_strategies_never_beat_the_certificate():
+    rng = np.random.default_rng(29)
+    for chi in SIGNED_CHI_GRID:
+        alpha, beta = math.cos(chi), math.sin(chi)
+        a0, a1, b0, b1 = rng.uniform(-math.pi, math.pi, size=(4, 10_000))
+        wins = _four_angle_win(alpha, beta, a0, a1, b0, b1)
+        bound = horodecki_bound(alpha, beta)
+        assert wins.max() <= bound + 1e-12
+        assert wins.max() >= bound - 5e-3  # the bound is nearly reached at either sign
+
+
+def test_symmetric_optimum_reaches_the_certificate():
+    # For alpha*beta <= 0 both parties sharing the closed-form angles is optimal
+    # over every projective strategy.
+    for chi in CHI_GRID:
+        pair = make_shared_state(chi)
+        sol = optimal_closed_form(pair)
+        bound = horodecki_bound(pair.alpha, pair.beta)
+        assert abs(sol.p_max - bound) <= 1e-12
+        shared = _four_angle_win(pair.alpha, pair.beta, sol.phi1, sol.phi2, sol.phi1, sol.phi2)
+        assert abs(shared - bound) <= 1e-12
 
 
 def test_closed_form_p_never_exceeds_p_max():

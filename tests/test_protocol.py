@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qccsim import protocol
 from qccsim.protocol import (
     AngleSet,
     InputPair,
@@ -376,6 +377,24 @@ def test_monte_carlo_follows_documented_draw_order(pair, angles):
     assert monte_carlo(pair, angles, trials, seed).per_input_counts == want
 
 
+@pytest.mark.parametrize(
+    "pair,angles",
+    [
+        (make_shared_state(-0.5), AngleSet(0.2, -0.4)),
+        (SchmidtPair.from_amplitudes(0.8, 0.6), AngleSet(0.3, -1.1)),  # alpha*beta > 0
+    ],
+)
+def test_monte_carlo_tallies_do_not_depend_on_chunk_size(pair, angles, monkeypatch):
+    # Each chunk size must tally what one chunk of all the trials tallies.
+    def counts(chunk, trials):
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
+        return monte_carlo(pair, angles, trials, 21).per_input_counts
+
+    for chunk in (1, 3, 1000, 2**14, 2**16):
+        for trials in (1, chunk + 1, 3 * chunk + 7):
+            assert counts(chunk, trials) == counts(trials, trials), (chunk, trials)
+
+
 def test_monte_carlo_memory_is_bounded():
     # Chunked draws: the peak does not grow with the number of trials.
     pair, angles = make_shared_state(-0.5), AngleSet(0.2, -0.4)
@@ -388,7 +407,7 @@ def test_monte_carlo_memory_is_bounded():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
-    assert peaks[1] < 8 * 2**20
+    assert peaks[1] < 2**20
 
 
 def test_monte_carlo_within_five_sigma_across_seeds():
