@@ -1,7 +1,8 @@
 """Byte-for-byte pin of CLI stdout and seeded sample streams.
 
 ``tests/data/cli_golden.json`` holds the exit code and exact stdout of a
-fixed set of CLI calls, the measured bits (a, b) of the first 256 seeded
+fixed set of CLI calls, the exit code and stdout sha256 of a few calls too
+long to keep as text, the measured bits (a, b) of the first 256 seeded
 ``run_once`` rounds at two states (one digit 2*a + b per round), the
 (a, b, success) of the first 256 seeded ``simulate_concentration_run`` rounds
 at three states (one digit 4*a + 2*b + success per round), and seeded
@@ -13,6 +14,7 @@ Regenerate, only for an intended output change, with
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -57,6 +59,14 @@ CLI_CALLS = [
     # more trials than one monte_carlo chunk
     ["simulate", "--chi", "-30", "--trials", "1000000", "--seed", "7"],
     ["simulate", "--chi", "-30", "--trials", "1000000", "--seed", "7", "--format", "json"],
+    # the smallest sweep
+    ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2", "--format", "json"],
+]
+
+# pinned by exit code and stdout sha256 only
+CLI_HASHED_CALLS = [
+    ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2001"],
+    ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2001", "--format", "json"],
 ]
 
 
@@ -87,18 +97,29 @@ def _counts(pair, angles, trials, seed):
     return {f"{x0}{y0}": list(n) for (x0, y0), n in sorted(result.per_input_counts.items())}
 
 
+def _call(argv):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli.main(argv)
+    return code, buffer.getvalue()
+
+
 def capture() -> dict:
     cli_out = {}
     for argv in CLI_CALLS:
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            code = cli.main(argv)
-        cli_out[" ".join(argv)] = {"code": code, "stdout": buffer.getvalue()}
+        code, out = _call(argv)
+        cli_out[" ".join(argv)] = {"code": code, "stdout": out}
+    cli_hashed = {}
+    for argv in CLI_HASHED_CALLS:
+        code, out = _call(argv)
+        cli_hashed[" ".join(argv)] = {
+            "code": code, "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
     partial = make_shared_state(-math.pi / 8)
     sol = optimal_closed_form(partial)
     partial_angles = AngleSet(sol.phi1, sol.phi2)
     return {
         "cli": cli_out,
+        "cli_sha256": cli_hashed,
         "run_once": {
             "epr": _rounds(epr_state(), EPR_ANGLES, 404),
             "chi=-pi/8": _rounds(partial, partial_angles, 405),
@@ -141,6 +162,7 @@ def test_outputs_match_golden():
     assert got["cli"].keys() == want["cli"].keys()
     for call, record in want["cli"].items():
         assert got["cli"][call] == record, call
+    assert got["cli_sha256"] == want["cli_sha256"]
     assert got["run_once"] == want["run_once"]
     assert got["concentration"] == want["concentration"]
     assert got["monte_carlo"] == want["monte_carlo"]
