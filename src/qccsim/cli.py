@@ -21,7 +21,8 @@ import json
 import math
 import re
 import sys
-from typing import Callable, NamedTuple
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,39 +64,62 @@ class SweepRecord(NamedTuple):
 
 
 CSV_HEADER = ",".join(SweepRecord._fields)
+# One record as ``json.dumps(..., indent=2)`` writes it in a sweep's
+# ``records`` array, with a %s for each value.
+_RECORD_JSON = "    {\n" + ",\n".join(
+    f"      {json.dumps(name)}: %s" for name in SweepRecord._fields) + "\n    }"
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def _json_pieces(doc: dict) -> Iterable[str]:
+    """``json.dumps(doc, indent=2, allow_nan=False) + "\n"``, in pieces.
+
+    Strict JSON: a non-finite float raises ValueError (exit 2) instead of
+    printing the non-standard tokens NaN or Infinity.  A non-empty
+    ``records`` member (a sweep's SweepRecords, always last) is rendered one
+    piece per record from ``_RECORD_JSON`` with ``float.__repr__``, which is
+    what ``json`` writes for a finite float; every value is checked first.
+    """
+    if not doc.get("records"):
+        return [json.dumps(doc, indent=2, allow_nan=False) + "\n"]
+    records = doc.pop("records")
+    if not all(map(math.isfinite, chain.from_iterable(records))):
+        raise ValueError("Out of range float values are not JSON compliant")
+    head = json.dumps(doc, indent=2, allow_nan=False)[:-2] + ',\n  "records": [\n'
+    rows = (_RECORD_JSON % tuple(map(float.__repr__, r)) for r in records)
+    return chain((head + next(rows),), (",\n" + row for row in rows), ("\n  ]\n}\n",))
+
+
 def _write(args: argparse.Namespace, body: Callable[[], dict],
-           text: Callable[[], str]) -> None:
+           text: Callable[[], Iterable[str]]) -> None:
     """Write one result to ``--out`` (default stdout): ``{"meta": ..., **body()}``
-    with ``--format json``, else ``text()``.  Only the chosen one is called, as
-    a sweep's JSON dicts and CSV rows each cost about as much as its records."""
+    with ``--format json``, else the pieces of ``text()``.  Only the chosen one
+    is called, as a sweep's JSON and CSV rows each cost about as much as its
+    records.  Everything is computed and checked before ``--out`` is opened;
+    then the pieces are written one by one, so no sweep is held as one string."""
     if args.format == "json":
         flags = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
         meta = {"tool": "qccsim", "version": __version__, "command": args.command,
                 "seed": getattr(args, "seed", None), "flags": flags}
-        # Strict JSON: a non-finite float raises ValueError (exit 2) instead of
-        # printing the non-standard tokens NaN or Infinity.
-        out = json.dumps({"meta": meta, **body()}, indent=2, allow_nan=False) + "\n"
+        pieces = _json_pieces({"meta": meta, **body()})
     else:
-        out = text()
+        pieces = text()
     if args.out is None:
-        sys.stdout.write(out)
+        sys.stdout.writelines(pieces)
     else:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(out)
+            handle.writelines(pieces)
 
 
-def _kv_report(fields: list[tuple[str, object]]) -> str:
+def _kv_report(fields: list[tuple[str, object]]) -> list[str]:
     lines = []
     for key, value in fields:
         text = _fmt(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{key} = {text}\n")
+    return lines
 
 
 def _finite_float(text: str) -> float:
@@ -214,10 +238,14 @@ def sweep_records(chis: list[float]) -> list[SweepRecord]:
     ]
 
 
+def _csv_lines(records: list[SweepRecord]) -> Iterator[str]:
+    yield CSV_HEADER + "\n"
+    for r in records:
+        yield ",".join(map(_fmt, r)) + "\n"
+
+
 def records_to_csv(records: list[SweepRecord]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(",".join(map(_fmt, r)) for r in records)
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_lines(records))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -225,8 +253,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--steps must be >= 2")
     chis = np.linspace(math.radians(args.chi_start), math.radians(args.chi_end), args.steps)
     records = sweep_records(list(chis))
-    _write(args, lambda: {"records": [r._asdict() for r in records]},
-           lambda: records_to_csv(records))
+    _write(args, lambda: {"records": records}, lambda: _csv_lines(records))
     return 0
 
 

@@ -1,8 +1,10 @@
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -206,11 +208,56 @@ def test_sweep_json_mirrors_csv_fields(capsys):
     assert set(payload["records"][0]) == set(cli.CSV_HEADER.split(","))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_out_file_matches_stdout(fmt, tmp_path, capsys):
+    argv = ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "31", "--format", fmt]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    out_file = tmp_path / f"sweep.{fmt}"
+    assert run_cli([*argv, "--out", str(out_file)], capsys) == (0, "", "")
+    if fmt == "json":  # the only difference: meta's flags name the --out path
+        out = out.replace('"format": "json"\n',
+                          f'"format": "json",\n      "out": {json.dumps(str(out_file))}\n', 1)
+    assert out_file.read_bytes() == out.encode("utf-8")
+
+
 def test_sweep_rejects_bad_flags(capsys):
-    code, _, _ = run_cli(["sweep", "--chi-start", "-50", "--chi-end", "0", "--steps", "5"], capsys)
-    assert code == 2
-    code, _, _ = run_cli(["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "1"], capsys)
-    assert code == 2
+    code, out, _ = run_cli(["sweep", "--chi-start", "-50", "--chi-end", "0", "--steps", "5"],
+                           capsys)
+    assert (code, out) == (2, "")
+    code, out, _ = run_cli(["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "1"],
+                           capsys)
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_refuses_whole_grid_when_last_point_is_out_of_domain(fmt, capsys):
+    argv = ["sweep", "--chi-start", "-45", "--chi-end", "1", "--steps", "5", "--format", fmt]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "(1 deg)" in err
+
+
+def test_refused_sweep_creates_no_file(tmp_path, capsys):
+    out_file = tmp_path / "sweep.json"
+    argv = ["sweep", "--chi-start", "-45", "--chi-end", "1", "--steps", "5", "--format", "json",
+            "--out", str(out_file)]
+    assert run_cli(argv, capsys)[:2] == (2, "")
+    assert not out_file.exists()
+
+
+def test_sweep_json_is_written_record_by_record():
+    # the whole document as one string (and json's chunk list) peaked at 6.6 MiB
+    argv = ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2001", "--format", "json"]
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        assert cli.main(argv) == 0  # first call fills module-level caches
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
 
 
 # --- simulate ----------------------------------------------------------------

@@ -5,16 +5,20 @@ database, so the suite stays reproducible.  Hypothesis still caches source
 constants under ``.hypothesis/``, which is git-ignored.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qccsim import cli
+from qccsim import __version__, cli
 from qccsim.protocol import AngleSet, exact_success_probability
 from qccsim.state import make_shared_state, rotated_amplitudes
 
@@ -71,6 +75,51 @@ def test_optimal_text_json_parity(chi):
 def test_simulate_text_json_parity(chi, trials, seed):
     _assert_text_json_parity(["simulate", f"--chi={chi!r}", f"--trials={trials}",
                               f"--seed={seed}"])
+
+
+# floats json and float.__repr__ might treat differently, mixed into arbitrary finite ones
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 1e16, 1e-300, -1e16, 3.0, -2.0, 1e22, 1.7976931348623157e308]
+finite = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+record = st.builds(cli.SweepRecord, *[finite] * len(cli.SweepRecord._fields))
+
+
+def _write_sweep(records, out=None):
+    """``cli._write`` as ``cmd_sweep`` calls it with --format json; returns stdout."""
+    args = argparse.Namespace(command="sweep", chi_start=-45.0, chi_end=0.0, steps=len(records),
+                              format="json", out=out, func=cli.cmd_sweep)
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        cli._write(args, lambda: {"records": records}, lambda: pytest.fail("CSV rendered"))
+    return buffer.getvalue()
+
+
+@PROPERTY
+@given(records=st.lists(record, max_size=6))
+@example(records=[cli.SweepRecord(*SPECIAL[:len(cli.SweepRecord._fields)])])
+def test_sweep_json_renders_as_json_dumps(records):
+    meta = {"tool": "qccsim", "version": __version__, "command": "sweep", "seed": None,
+            "flags": {"command": "sweep", "chi_start": -45.0, "chi_end": 0.0,
+                      "steps": len(records), "format": "json"}}
+    want = json.dumps({"meta": meta, "records": [r._asdict() for r in records]},
+                      indent=2, allow_nan=False) + "\n"
+    assert _write_sweep(records) == want
+
+
+@PROPERTY
+@given(records=st.lists(record, min_size=1, max_size=4), data=st.data(),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_sweep_json_refuses_non_finite_before_writing(records, data, bad):
+    i = data.draw(st.integers(0, len(records) - 1))
+    j = data.draw(st.integers(0, len(cli.SweepRecord._fields) - 1))
+    records[i] = records[i]._replace(**{cli.SweepRecord._fields[j]: bad})
+    with tempfile.TemporaryDirectory() as tmp:
+        out_file = Path(tmp) / "sweep.json"
+        for out in (None, str(out_file)):
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer), pytest.raises(ValueError):
+                _write_sweep(records, out)
+            assert buffer.getvalue() == ""
+        assert not out_file.exists()
 
 
 @PROPERTY
