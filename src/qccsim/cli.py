@@ -96,10 +96,9 @@ def _json_pieces(doc: dict) -> Iterable[str]:
 def _write(args: argparse.Namespace, body: Callable[[], dict],
            text: Callable[[], Iterable[str]]) -> None:
     """Write one result to ``--out`` (default stdout): ``{"meta": ..., **body()}``
-    with ``--format json``, else the pieces of ``text()``.  Only the chosen one
-    is called, as a sweep's JSON and CSV rows each cost about as much as its
-    records.  Everything is computed and checked before ``--out`` is opened;
-    then the pieces are written one by one, so no sweep is held as one string."""
+    with ``--format json``, else the pieces of ``text()``; only the chosen one
+    is called.  Everything is computed and checked before ``--out`` is opened,
+    then written piece by piece, so no sweep is held as one string."""
     if args.format == "json":
         flags = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
         meta = {"tool": "qccsim", "version": __version__, "command": args.command,
