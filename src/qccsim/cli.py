@@ -79,7 +79,7 @@ def _json_pieces(doc: dict) -> Iterable[str]:
 
     Strict JSON: a non-finite float raises ValueError (exit 2) instead of
     printing the non-standard tokens NaN or Infinity.  A non-empty
-    ``records`` member (a sweep's SweepRecords, always last) is rendered one
+    ``records`` member (a sweep's SweepRecords) is written last, one
     piece per record from ``_RECORD_JSON`` with ``float.__repr__``, which is
     what ``json`` writes for a finite float; every value is checked first.
     """

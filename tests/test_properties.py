@@ -78,7 +78,8 @@ def test_simulate_text_json_parity(chi, trials, seed):
 
 
 # floats json and float.__repr__ might treat differently, mixed into arbitrary finite ones
-SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 1e16, 1e-300, -1e16, 3.0, -2.0, 1e22, 1.7976931348623157e308]
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 1e16, 1e-300, -1e16, 3.0, -2.0, 1e22,
+           1.7976931348623157e308]
 finite = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
 record = st.builds(cli.SweepRecord, *[finite] * len(cli.SweepRecord._fields))
 
