@@ -2,7 +2,9 @@
 
 ``tests/data/cli_golden.json`` holds the exit code and exact stdout of a
 fixed set of CLI calls, the exit code and stdout sha256 of a few calls too
-long to keep as text, the measured bits (a, b) of the first 256 seeded
+long to keep as text, the exit code, stdout and stderr of ``python -m
+qccsim`` in a fresh interpreter for the help texts and an argparse refusal,
+the measured bits (a, b) of the first 256 seeded
 ``run_once`` rounds at two states (one digit 2*a + b per round), the
 (a, b, success) of the first 256 seeded ``simulate_concentration_run`` rounds
 at three states (one digit 4*a + 2*b + success per round), and seeded
@@ -18,6 +20,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +33,8 @@ from qccsim.optimize import optimal_closed_form
 from qccsim.protocol import AngleSet, InputPair, monte_carlo, run_once
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
 EPR_ANGLES = AngleSet(-math.pi / 16, 3 * math.pi / 16)
 
 CLI_CALLS = [
@@ -61,12 +67,25 @@ CLI_CALLS = [
     ["simulate", "--chi", "-30", "--trials", "1000000", "--seed", "7", "--format", "json"],
     # the smallest sweep
     ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2", "--format", "json"],
+    # chi just above 0, inside make_shared_state's tolerance
+    ["exact", "--chi", "1e-13"],
+    ["optimal", "--chi", "1e-13"],
+    ["simulate", "--chi", "1e-13", "--trials", "10"],
+    ["sweep", "--chi-start", "-45", "--chi-end", "1e-11", "--steps", "3"],
 ]
 
 # pinned by exit code and stdout sha256 only
 CLI_HASHED_CALLS = [
     ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2001"],
     ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2001", "--format", "json"],
+]
+
+# run as ``python -m qccsim`` in a fresh interpreter, pinned with stderr too
+CLI_SUBPROCESS_CALLS = [
+    ["--help"],
+    *([command, "--help"] for command in ("exact", "optimal", "sweep", "simulate", "classical")),
+    # refused by argparse: exit code 2, usage on stderr
+    ["exact", "--chi", "-30", "--phi1", "nan"],
 ]
 
 
@@ -104,6 +123,14 @@ def _call(argv):
     return code, buffer.getvalue()
 
 
+def _subprocess_call(argv):
+    env = dict(os.environ, COLUMNS="80")  # argparse wraps help text to the terminal width
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "qccsim", *argv], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=120)
+    return {"code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+
+
 def capture() -> dict:
     cli_out = {}
     for argv in CLI_CALLS:
@@ -114,12 +141,14 @@ def capture() -> dict:
         code, out = _call(argv)
         cli_hashed[" ".join(argv)] = {
             "code": code, "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+    cli_subprocess = {" ".join(argv): _subprocess_call(argv) for argv in CLI_SUBPROCESS_CALLS}
     partial = make_shared_state(-math.pi / 8)
     sol = optimal_closed_form(partial)
     partial_angles = AngleSet(sol.phi1, sol.phi2)
     return {
         "cli": cli_out,
         "cli_sha256": cli_hashed,
+        "cli_subprocess": cli_subprocess,
         "run_once": {
             "epr": _rounds(epr_state(), EPR_ANGLES, 404),
             "chi=-pi/8": _rounds(partial, partial_angles, 405),
@@ -163,6 +192,9 @@ def test_outputs_match_golden():
     for call, record in want["cli"].items():
         assert got["cli"][call] == record, call
     assert got["cli_sha256"] == want["cli_sha256"]
+    assert got["cli_subprocess"].keys() == want["cli_subprocess"].keys()
+    for call, record in want["cli_subprocess"].items():
+        assert got["cli_subprocess"][call] == record, call
     assert got["run_once"] == want["run_once"]
     assert got["concentration"] == want["concentration"]
     assert got["monte_carlo"] == want["monte_carlo"]
