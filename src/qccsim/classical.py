@@ -10,7 +10,13 @@ and the bit it received.  Two message orderings are covered:
   on the bit he received from her.
 
 The search never tries Alice's output tables one by one: against fixed
-messages and Bob's outputs her best table is a per-cell majority vote.
+messages and Bob's outputs her best table is a per-cell majority vote.  Nor
+does it try Bob's output tables one by one: with Alice's message table
+fixed, the count splits into the inputs where she sends 0, which see only
+the even bits of Bob's output table, and those where she sends 1, which see
+only the odd bits, and each half is maximized on its own over small integer
+tables.  The search is plain Python on 4-bit and 8-bit integers; the module
+imports no numpy, so ``python -m qccsim classical`` starts without it.
 
 Shared randomness is a convex mixture of deterministic protocols, so the
 deterministic maximum found by the search bounds randomized protocols too.
@@ -23,8 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 MODE_SIMULTANEOUS = "simultaneous"
 MODE_SEQUENTIAL = "sequential"
@@ -66,6 +70,7 @@ class ProtocolRun(NamedTuple):
 
 
 def _target(x: int, y: int) -> int:
+    """f(x, y) = x1 XOR y1 XOR (x0 AND y0), written once for the package."""
     return (x >> 1) ^ (y >> 1) ^ ((x & 1) & (y & 1))
 
 
@@ -116,42 +121,62 @@ def evaluate_protocol(p: DeterministicProtocol) -> int:
 # 2*y + received, sequential) of ``mb``, bit 2*input + received of the output
 # tables ``oa`` and ``ob``.  With ``ma``, ``mb`` and ``ob`` fixed, each of
 # Alice's cells (x, received) covers its own input pairs, so her best table is
-# the per-cell majority of the target over the pairs where Bob is right.  At
-# input x she receives a 4-bit pattern over y: ``mb`` itself (simultaneous),
-# or the even bits of ``mb`` where she sent 0 and its odd bits where she sent
-# 1 (sequential).  The best count is then a sum of small integer tables.
+# the per-cell majority of the target over the pairs where Bob is right.
+#
+# The count separates over the bit Alice sends.  Where she sends a, Bob's
+# output reads only the bits 2*y + a of ``ob`` (its even or odd half, a 4-bit
+# table over y), and she receives a 4-bit pattern over y: ``mb`` itself
+# (simultaneous), or its even or odd half (sequential).  With X0 and X1 the
+# inputs where she sends 0 and 1, the best count over her output tables is
+#
+#     G[X0][p0][even(ob)] + G[X1][p1][odd(ob)]
+#
+# where G[xs][p][h] sums, over the inputs x in xs, the pairs (x, y) won with
+# received pattern p and Bob's half h.  Each half is maximized on its own.
+
+_POPCOUNT = [bin(i).count("1") for i in range(16)]
+# bits 2*y (even) and 2*y + 1 (odd) of an 8-bit table, packed into bit y
+_EVEN = [sum(((t >> 2 * y) & 1) << y for y in range(4)) for t in range(256)]
+_ODD = [_EVEN[t >> 1] for t in range(256)]
 
 
-def _cell_scores() -> np.ndarray:
-    """``score[x, a, p, ob]``: pairs (x, y) won when Alice, having sent ``a`` at
-    input x and received pattern ``p``, plays her majority bits against ``ob``."""
-    x = np.arange(4)[:, None, None, None]
-    a = np.arange(2)[None, :, None, None]
-    y = np.arange(4)[None, None, :, None]
-    ob = np.arange(256)
-    f = _target(x, y)
-    bob_right = ((ob >> (2 * y + a)) & 1) == f
-    received = (np.arange(16)[:, None] >> np.arange(4)) & 1  # [p, y]
-    wins = [(bob_right & (f == bit)).astype(np.int64) for bit in (0, 1)]  # [x, a, y, ob]
-    in_one = [received @ w for w in wins]  # [x, a, p, ob], in the cell where she received 1
-    in_zero = [w.sum(axis=2, keepdims=True) - c for w, c in zip(wins, in_one)]
-    return (np.maximum(*in_one) + np.maximum(*in_zero)).astype(np.uint8)
+def _input_scores() -> list[list[int]]:
+    """``score[x][16*p + h]``: pairs (x, y) won at input x when Alice receives
+    pattern p and Bob outputs bit y of h, with Alice on her majority bits."""
+    scores = []
+    for x in range(4):
+        ones = sum(_target(x, y) << y for y in range(4))  # the y with target 1
+        # per h: the y where Bob is right and the target is 1, and where it is 0
+        right = [(h & ones, ~h & ~ones & 15) for h in range(16)]
+        scores.append([
+            max(_POPCOUNT[p & r1], _POPCOUNT[p & r0]) + max(_POPCOUNT[q & r1], _POPCOUNT[q & r0])
+            for p, q in zip(range(16), range(15, -1, -1)) for r1, r0 in right
+        ])
+    return scores
 
 
-def _received_patterns(mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's received pattern for every ``mb``, where she sent 0 and where she sent 1."""
-    if mode == MODE_SIMULTANEOUS:
-        return np.arange(16), np.arange(16)
-    mb, y = np.arange(256)[:, None], np.arange(4)
-    even, odd = ((((mb >> (2 * y + a)) & 1) << y).sum(axis=1) for a in (0, 1))
-    return even, odd
+def _subset_scores() -> list[list[int]]:
+    """``G[xs]``: the sum of ``_input_scores()[x]`` over the bits x of ``xs``,
+    each table its parent subset (``xs`` without its lowest bit) plus one input."""
+    scores = _input_scores()
+    tables = [[0] * 256]
+    for xs in range(1, 16):
+        low = (xs & -xs).bit_length() - 1
+        tables.append(list(map(int.__add__, tables[xs & (xs - 1)], scores[low])))
+    return tables
 
 
-def _best_counts(score: np.ndarray, patterns: tuple[np.ndarray, np.ndarray], ma: int) -> np.ndarray:
-    """``counts[mb, ob]``: the best success count over Alice's output tables."""
-    sent = (ma >> np.arange(4)) & 1
-    g0, g1 = (score[sent == a, a].sum(axis=0, dtype=np.uint8) for a in (0, 1))
-    return g0[patterns[0]] + g1[patterns[1]]
+def _patterns(mode: str, mb: int) -> tuple[int, int]:
+    """Alice's received pattern where she sent 0 and where she sent 1."""
+    return (mb, mb) if mode == MODE_SIMULTANEOUS else (_EVEN[mb], _ODD[mb])
+
+
+def _output_counts(tables: list[list[int]], mode: str, ma: int, mb: int) -> list[int]:
+    """``counts[ob]``: the best success count over Alice's output tables."""
+    p0, p1 = _patterns(mode, mb)
+    g0 = tables[15 ^ ma][16 * p0:16 * p0 + 16]
+    g1 = tables[ma][16 * p1:16 * p1 + 16]
+    return [g0[e] + g1[o] for e, o in zip(_EVEN, _ODD)]
 
 
 def _majority_out_alice(p: DeterministicProtocol) -> int:
@@ -181,28 +206,32 @@ def _decode_witness(mode: str, ma: int, mb: int, oa: int, ob: int) -> Determinis
 def enumerate_best(mode: str) -> EnumerationResult:
     """Find the best deterministic protocol in the given mode, exactly.
 
-    Alice's best output table is her per-cell majority, so the search covers
-    all 16 * n_mb * 256 * 256 protocols (n_mb = 16 simultaneous, 256
-    sequential) without evaluating each; ``protocols_examined`` reports that
+    Alice's best output table is her per-cell majority and Bob's splits into
+    two halves maximized on their own, so the search covers all
+    16 * n_mb * 256 * 256 protocols (n_mb = 16 simultaneous, 256 sequential)
+    without evaluating each; ``protocols_examined`` reports that
     number.  Ties resolve to the lexicographically smallest encoding
     (msg_alice, msg_bob, out_alice, out_bob), so the witness is deterministic.
     """
     if mode not in (MODE_SIMULTANEOUS, MODE_SEQUENTIAL):
         raise ValueError(f"unknown mode {mode!r}")
 
-    score = _cell_scores()
-    patterns = _received_patterns(mode)
-    tops = [int(_best_counts(score, patterns, ma).max()) for ma in range(16)]
+    tables = _subset_scores()
+    best = [[max(t[i:i + 16]) for i in range(0, 256, 16)] for t in tables]  # [xs][p]
+    patterns = [_patterns(mode, mb) for mb in range(16 if mode == MODE_SIMULTANEOUS else 256)]
+    # best count over the output tables, per [ma][mb]
+    rows = [[best[15 ^ ma][p0] + best[ma][p1] for p0, p1 in patterns] for ma in range(16)]
+    tops = [max(row) for row in rows]
     count = max(tops)
     ma = tops.index(count)  # first maximum: smallest msg_alice
-    counts = _best_counts(score, patterns, ma)
-    mb = int(counts.argmax()) // 256  # first maximum in [mb, ob] order: smallest msg_bob
+    mb = rows[ma].index(count)  # smallest msg_bob
+    counts = _output_counts(tables, mode, ma, mb)
     oa, ob = min((_majority_out_alice(_decode_witness(mode, ma, mb, 0, ob)), ob)
-                 for ob in map(int, np.flatnonzero(counts[mb] == count)))
+                 for ob, c in enumerate(counts) if c == count)
     return EnumerationResult(
         best_success_count=count,
         best_probability=Fraction(count, N_INPUT_PAIRS),
         witness=_decode_witness(mode, ma, mb, oa, ob),
         mode=mode,
-        protocols_examined=16 * len(patterns[0]) * 256 * 256,
+        protocols_examined=16 * len(patterns) * 256 * 256,
     )

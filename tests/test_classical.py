@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from oracles import brute_force_best_simultaneous, brute_force_protocol_counts
@@ -9,11 +8,10 @@ from qccsim.classical import (
     MODE_SEQUENTIAL,
     MODE_SIMULTANEOUS,
     DeterministicProtocol,
-    _best_counts,
-    _cell_scores,
     _decode_witness,
     _majority_out_alice,
-    _received_patterns,
+    _output_counts,
+    _subset_scores,
     baseline_protocol,
     enumerate_best,
     evaluate_protocol,
@@ -114,18 +112,19 @@ def test_enumeration_simultaneous_matches_brute_force():
     )
 
 
-def test_cell_wise_counts_match_brute_force_sequential():
-    score = _cell_scores()
-    patterns = _received_patterns(MODE_SEQUENTIAL)
+@pytest.mark.parametrize("mode", [MODE_SIMULTANEOUS, MODE_SEQUENTIAL])
+def test_separable_counts_match_brute_force(mode):
+    tables = _subset_scores()
+    sequential = mode == MODE_SEQUENTIAL
     rng = random.Random(20261018)
     for _ in range(32):
-        ma, mb = rng.randrange(16), rng.randrange(256)
-        brute = brute_force_protocol_counts(True, ma, mb)
-        best = _best_counts(score, patterns, ma)[mb]
-        np.testing.assert_array_equal(best, brute.max(axis=0))
+        ma, mb = rng.randrange(16), rng.randrange(256 if sequential else 16)
+        brute = brute_force_protocol_counts(sequential, ma, mb)
+        # for every ob, the sum of the two halves' tables is the best count over oa
+        assert _output_counts(tables, mode, ma, mb) == brute.max(axis=0).tolist()
         # the majority table with ties at 0 is the smallest best table for each ob
         for ob in rng.sample(range(256), 8):
-            protocol = _decode_witness(MODE_SEQUENTIAL, ma, mb, 0, ob)
+            protocol = _decode_witness(mode, ma, mb, 0, ob)
             assert _majority_out_alice(protocol) == int(brute[:, ob].argmax())
 
 
