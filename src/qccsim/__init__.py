@@ -1,34 +1,42 @@
 """Simulator and analysis toolkit for an entanglement-assisted two-bit
-communication game over a shared pair alpha|00> + beta|11>."""
+communication game over a shared pair alpha|00> + beta|11>.
+
+The public names below are loaded on first use (PEP 562), so a bare
+``import qccsim`` -- and ``python -m qccsim classical`` -- does not import
+numpy; ``qccsim.state`` and the other submodules load the same way.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .state import SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
-from .protocol import (
-    AngleSet,
-    InputPair,
-    MonteCarloResult,
-    PerInputReport,
-    Transcript,
-    closed_form_p,
-    exact_success_probability,
-    monte_carlo,
-    run_batch,
-    run_once,
-    target_function,
-)
-from .optimize import AngleSolution, optimal_closed_form, optimal_numeric
-from .classical import (
-    DeterministicProtocol,
-    EnumerationResult,
-    baseline_protocol,
-    enumerate_best,
-    evaluate_protocol,
-    run_protocol,
-)
-from .concentration import (
-    concentration_strategy_value,
-    concentration_success_probability,
-    simulate_concentration_batch,
-    simulate_concentration_run,
-)
+_EXPORTS = {
+    "state": ["SchmidtPair", "epr_state", "make_shared_state", "rotated_amplitudes"],
+    "protocol": ["AngleSet", "InputPair", "MonteCarloResult", "PerInputReport", "Transcript",
+                 "closed_form_p", "exact_success_probability", "monte_carlo", "run_batch",
+                 "run_once", "target_function"],
+    "optimize": ["AngleSolution", "optimal_closed_form", "optimal_numeric"],
+    "classical": ["DeterministicProtocol", "EnumerationResult", "baseline_protocol",
+                  "enumerate_best", "evaluate_protocol", "run_protocol"],
+    "concentration": ["concentration_strategy_value", "concentration_success_probability",
+                      "simulate_concentration_batch", "simulate_concentration_run"],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_HOME["run"] = "_entry"  # the console entry, kept from when the package imported the CLI
+_SUBMODULES = (*_EXPORTS, "cli")
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

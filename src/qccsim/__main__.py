@@ -1,3 +1,3 @@
-from .cli import run
+from ._entry import run
 
 run()

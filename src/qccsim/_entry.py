@@ -1,0 +1,234 @@
+"""Command-line surface: the parser, the one output path and ``classical``.
+
+This module imports no numpy.  ``classical`` runs here; the numeric
+subcommands live in ``qccsim.cli``, which is imported (with numpy) only
+when one of them runs.
+
+Subcommands:
+  exact     -- per-input and total success probabilities at given angles
+  optimal   -- closed-form optimal angles, cross-checked numerically
+  sweep     -- theory curves over a range of shared states (CSV or JSON)
+  simulate  -- seeded Monte Carlo runs at the optimal angles
+  classical -- exhaustive search over deterministic two-bit protocols
+
+Units: --chi/--chi-start/--chi-end are degrees (the canonical range is
+-45..0); --phi1/--phi2 and all angles in output are radians.  Exit codes:
+0 success, 1 the output file cannot be written or the request does not fit
+in memory (``sweep --steps 1000000000000000``), 2 usage or domain error,
+3 internal consistency failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import re
+import sys
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple
+
+from . import __version__, classical
+from .classical import MODE_SEQUENTIAL, MODE_SIMULTANEOUS
+
+# A token argparse must read as a value, not an option name: it accepts only
+# -12 and -1.5 as negative numbers, so -1e-05 and -inf would be refused.
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+class SweepRecord(NamedTuple):
+    """One sweep grid point: state parameters, optimal angles, and the
+    direct (p_max) and concentrate-then-play (p_concentration) values.
+
+    The field order is the CSV column order and the JSON key order.
+    """
+
+    chi_deg: float
+    alpha: float
+    beta: float
+    epsilon: float
+    phi1: float
+    phi2: float
+    p_max: float
+    p_concentration: float
+    p00: float
+    p01: float
+    p10: float
+    p11: float
+
+
+CSV_HEADER = ",".join(SweepRecord._fields)
+# One record as ``json.dumps(..., indent=2)`` writes it in a sweep's
+# ``records`` array, with a %s for each value.
+_RECORD_JSON = "    {\n" + ",\n".join(
+    f"      {json.dumps(name)}: %s" for name in SweepRecord._fields) + "\n    }"
+
+
+def _fmt(value: float) -> str:
+    return format(float(value), ".12g")
+
+
+def _json_pieces(doc: dict) -> Iterable[str]:
+    """``json.dumps(doc, indent=2, allow_nan=False) + "\n"``, in pieces.
+
+    Strict JSON: a non-finite float raises ValueError (exit 2) instead of
+    printing the non-standard tokens NaN or Infinity.  A non-empty
+    ``records`` member (a sweep's SweepRecords) is written last, one
+    piece per record from ``_RECORD_JSON`` with ``float.__repr__``, which is
+    what ``json`` writes for a finite float; every value is checked first.
+    """
+    if not doc.get("records"):
+        return [json.dumps(doc, indent=2, allow_nan=False) + "\n"]
+    records = doc.pop("records")
+    if not all(map(math.isfinite, chain.from_iterable(records))):
+        raise ValueError("Out of range float values are not JSON compliant")
+    head = json.dumps(doc, indent=2, allow_nan=False)[:-2] + ',\n  "records": [\n'
+    rows = (_RECORD_JSON % tuple(map(float.__repr__, r)) for r in records)
+    return chain((head + next(rows),), (",\n" + row for row in rows), ("\n  ]\n}\n",))
+
+
+def _write(args: argparse.Namespace, body: Callable[[], dict],
+           text: Callable[[], Iterable[str]]) -> None:
+    """Write one result to ``--out`` (default stdout): ``{"meta": ..., **body()}``
+    with ``--format json``, else the pieces of ``text()``; only the chosen one
+    is called.  Everything is computed and checked before ``--out`` is opened,
+    then written piece by piece, so no sweep is held as one string."""
+    if args.format == "json":
+        flags = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+        meta = {"tool": "qccsim", "version": __version__, "command": args.command,
+                "seed": getattr(args, "seed", None), "flags": flags}
+        pieces = _json_pieces({"meta": meta, **body()})
+    else:
+        pieces = text()
+    if args.out is None:
+        sys.stdout.writelines(pieces)
+    else:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
+
+
+def _kv_report(fields: list[tuple[str, object]]) -> list[str]:
+    lines = []
+    for key, value in fields:
+        text = _fmt(value) if isinstance(value, float) else str(value)
+        lines.append(f"{key} = {text}\n")
+    return lines
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for real-valued flags: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _numeric(name: str) -> Callable[[argparse.Namespace], int]:
+    """The subcommand ``qccsim.cli.<name>``, imported and looked up when it runs."""
+    def command(args: argparse.Namespace) -> int:
+        from . import cli  # numpy and the numeric layers load here
+        return getattr(cli, name)(args)
+    return command
+
+
+# --------------------------------------------------------------------------- classical
+
+
+def cmd_classical(args: argparse.Namespace) -> int:
+    result = classical.enumerate_best(args.mode)
+    tables = {name: getattr(result.witness, name)
+              for name in ("msg_alice", "msg_bob", "out_alice", "out_bob")}
+    record = {
+        "mode": result.mode,
+        "best_success_count": result.best_success_count,
+        "best_probability": str(result.best_probability),
+        "best_probability_float": float(result.best_probability),
+        "protocols_examined": result.protocols_examined,
+        "witness": {name: list(table) for name, table in tables.items()},
+    }
+    fields = [
+        ("mode", result.mode),
+        ("best_success_count", f"{result.best_success_count}/16"),
+        ("best_probability", record["best_probability"]),
+        ("protocols_examined", result.protocols_examined),
+        *((f"witness_{name}", "".join(map(str, table))) for name, table in tables.items()),
+    ]
+    _write(args, lambda: {"record": record}, lambda: _kv_report(fields))
+    return 0
+
+
+# --------------------------------------------------------------------------- parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qccsim",
+        description="Entanglement-assisted two-bit communication game: "
+        "exact values, optimization, sweeps, sampling, and the classical bound.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_output_flags(p: argparse.ArgumentParser, formats: tuple[str, ...], default: str) -> None:
+        p.add_argument("--format", choices=formats, default=default)
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+
+    p = sub.add_parser("exact", help="success probabilities at given angles")
+    p.add_argument("--chi", type=_finite_float, default=None, help="state angle in degrees")
+    p.add_argument("--alpha", type=_finite_float, default=None,
+                   help="amplitude of |00> (alternative to --chi)")
+    p.add_argument("--beta", type=_finite_float, default=None,
+                   help="amplitude of |11> (alternative to --chi)")
+    p.add_argument("--phi1", type=_finite_float, default=0.0,
+                   help="rotation for low bit 0, radians")
+    p.add_argument("--phi2", type=_finite_float, default=0.0,
+                   help="rotation for low bit 1, radians")
+    add_output_flags(p, ("text", "json"), "text")
+    p.set_defaults(func=_numeric("cmd_exact"))
+
+    p = sub.add_parser("optimal", help="optimal angles with numeric cross-check")
+    p.add_argument("--chi", type=_finite_float, required=True, help="state angle in degrees")
+    add_output_flags(p, ("text", "json"), "text")
+    p.set_defaults(func=_numeric("cmd_optimal"))
+
+    p = sub.add_parser("sweep", help="theory curves over a range of states")
+    p.add_argument("--chi-start", type=_finite_float, required=True, help="degrees")
+    p.add_argument("--chi-end", type=_finite_float, required=True, help="degrees")
+    p.add_argument("--steps", type=int, required=True)
+    add_output_flags(p, ("csv", "json"), "csv")
+    p.set_defaults(func=_numeric("cmd_sweep"))
+
+    p = sub.add_parser("simulate", help="Monte Carlo at the optimal angles")
+    p.add_argument("--chi", type=_finite_float, required=True, help="state angle in degrees")
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    add_output_flags(p, ("text", "json"), "text")
+    p.set_defaults(func=_numeric("cmd_simulate"))
+
+    p = sub.add_parser("classical", help="exhaustive deterministic-protocol search")
+    p.add_argument("--mode", choices=(MODE_SIMULTANEOUS, MODE_SEQUENTIAL), required=True)
+    add_output_flags(p, ("text", "json"), "text")
+    p.set_defaults(func=cmd_classical)
+
+    for p in (parser, *sub.choices.values()):  # no flag here looks like _NEGATIVE_VALUE
+        p._negative_number_matcher = _NEGATIVE_VALUE
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def run() -> None:
+    sys.exit(main())
