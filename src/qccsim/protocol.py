@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .classical import _target
 from .state import SchmidtPair, rotated_amplitudes
 
 # Low bits (x0, y0) of the outcome table's rows, which are indexed 2*x0 + y0.
@@ -109,7 +110,7 @@ class MonteCarloResult(NamedTuple):
 
 def target_function(inputs: InputPair) -> int:
     """f(x, y) = x1 XOR y1 XOR (x0 AND y0)."""
-    return inputs.x1 ^ inputs.y1 ^ (inputs.x0 & inputs.y0)
+    return _target(inputs.x, inputs.y)
 
 
 def _outcome_table(alpha, beta, phi1, phi2) -> np.ndarray:
