@@ -61,14 +61,16 @@ def make_shared_state(chi: float) -> SchmidtPair:
     Returns (cos chi, sin chi, chi).  chi = 0 is the unentangled product
     state |00>; chi = -pi/4 is the maximally entangled endpoint.  Values
     outside the canonical interval (beyond a 1e-12 tolerance) raise
-    ValueError rather than being clamped or normalized.
+    ValueError rather than being clamped or normalized.  Inside the
+    tolerance above 0, beta is 0.0 rather than sin chi > 0, so every pair
+    returned has beta <= 0 and is accepted by every consumer.
     """
     if not (-math.pi / 4 - CHI_DOMAIN_TOL <= chi <= CHI_DOMAIN_TOL):
         raise ValueError(
             f"chi = {chi!r} rad ({math.degrees(chi):.12g} deg) outside the canonical"
             " domain [-pi/4, 0] rad = [-45, 0] deg (beta <= 0 <= alpha, alpha >= |beta|)"
         )
-    return SchmidtPair(math.cos(chi), math.sin(chi), chi)
+    return SchmidtPair(math.cos(chi), min(math.sin(chi), 0.0), chi)
 
 
 def epr_state() -> SchmidtPair:

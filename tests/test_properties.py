@@ -15,16 +15,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qccsim import __version__, cli
 from qccsim.protocol import AngleSet, exact_success_probability
-from qccsim.state import make_shared_state, rotated_amplitudes
+from qccsim.state import CHI_DOMAIN_TOL, make_shared_state, rotated_amplitudes
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
 chi_deg = st.floats(-45.0, 0.0)
+# the whole range make_shared_state accepts, in degrees, and the sliver above 0 on its own
+TOL_DEG = math.degrees(CHI_DOMAIN_TOL)
+accepted_chi_deg = st.one_of(st.floats(-45.0 - TOL_DEG, TOL_DEG), st.floats(0.0, TOL_DEG))
 angle = st.floats(-2 * math.pi, 2 * math.pi)
 
 
@@ -75,6 +78,21 @@ def test_optimal_text_json_parity(chi):
 def test_simulate_text_json_parity(chi, trials, seed):
     _assert_text_json_parity(["simulate", f"--chi={chi!r}", f"--trials={trials}",
                               f"--seed={seed}"])
+
+
+@settings(PROPERTY, max_examples=20)
+@given(chi=accepted_chi_deg)
+@example(chi=1e-13)
+@example(chi=-45.00000000000001)
+def test_every_accepted_chi_runs_through_every_subcommand(chi):
+    try:
+        make_shared_state(math.radians(chi))
+    except ValueError:
+        assume(False)
+    _stdout(["exact", f"--chi={chi!r}"])
+    _stdout(["optimal", f"--chi={chi!r}"])
+    _stdout(["simulate", f"--chi={chi!r}", "--trials=10"])
+    _stdout(["sweep", "--chi-start=-45", f"--chi-end={chi!r}", "--steps=2"])
 
 
 # floats json and float.__repr__ might treat differently, mixed into arbitrary finite ones
