@@ -1,9 +1,13 @@
 """Simulator and analysis toolkit for an entanglement-assisted two-bit
 communication game over a shared pair alpha|00> + beta|11>.
 
-The public names below are loaded on first use (PEP 562), so a bare
-``import qccsim`` -- and ``python -m qccsim classical`` -- does not import
-numpy; ``qccsim.state`` and the other submodules load the same way.
+The public names below are loaded on first use (PEP 562); ``qccsim.state``
+and the other submodules load the same way.  No module imports numpy when
+it loads: the exact values, the optimizers and the classical search run in
+pure Python on Python floats, and numpy is imported inside the functions
+that sample (``monte_carlo``, ``run_batch``, ``simulate_concentration_batch``),
+return an ndarray (``rotated_amplitudes``) or are given arrays.  So
+``python -m qccsim`` loads numpy for ``simulate`` only.
 """
 
 import importlib

@@ -1,8 +1,9 @@
 """Command-line surface: the parser, the one output path and ``classical``.
 
 This module imports no numpy.  ``classical`` runs here; the numeric
-subcommands live in ``qccsim.cli``, which is imported (with numpy) only
-when one of them runs.
+subcommands live in ``qccsim.cli``, which is imported only when one of them
+runs.  That import loads no numpy either: of the subcommands, only
+``simulate`` loads numpy, inside ``monte_carlo``.
 
 Subcommands:
   exact     -- per-input and total success probabilities at given angles
@@ -226,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # MemoryError() is blank
         return 1
 
 

@@ -1,10 +1,12 @@
 """Numeric subcommands of the command line: exact, optimal, sweep, simulate.
 
 The parser, the output path, ``classical`` and ``main``/``run`` live in
-``qccsim._entry``, which imports no numpy and looks the commands here up by
-name when one runs; ``main``, ``run`` and the sweep record type are
-re-exported.  Importing this module loads every layer module (``classical``
-through the entry).  Units and exit codes are in ``qccsim._entry``.
+``qccsim._entry``, which looks the commands here up by name when one runs;
+``main``, ``run`` and the sweep record type are re-exported.  Importing
+this module loads every layer module (``classical`` through the entry) but
+not numpy: ``exact``, ``optimal`` and ``sweep`` run in pure Python, and
+numpy loads only inside ``monte_carlo``, when ``simulate`` runs.  Units and
+exit codes are in ``qccsim._entry``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import argparse
 import math
 import sys
 from typing import Iterator
-
-import numpy as np
 
 from ._entry import CSV_HEADER, SweepRecord, _fmt, _kv_report, _write, main, run
 from .concentration import concentration_strategy_value
@@ -106,16 +106,12 @@ def cmd_optimal(args: argparse.Namespace) -> int:
 def sweep_records(chis: list[float]) -> list[SweepRecord]:
     """Build one record per chi (radians): optimal angles, both strategy
     values, and the per-input probabilities at the optimum."""
-    pairs = [make_shared_state(float(chi)) for chi in chis]
-    sols = [optimal_closed_form(pair) for pair in pairs]
-    report = exact_success_probability(
-        SchmidtPair(np.array([p.alpha for p in pairs]), np.array([p.beta for p in pairs]),
-                    np.array([p.chi for p in pairs])),
-        AngleSet(np.array([s.phi1 for s in sols]), np.array([s.phi2 for s in sols])),
-    )
-    per_input = zip(*(field.tolist() for field in report[:4]))
-    return [
-        SweepRecord(
+    records = []
+    for chi in chis:
+        pair = make_shared_state(float(chi))
+        sol = optimal_closed_form(pair)
+        report = exact_success_probability(pair, AngleSet(sol.phi1, sol.phi2))
+        records.append(SweepRecord(
             chi_deg=math.degrees(pair.chi),
             alpha=pair.alpha,
             beta=pair.beta,
@@ -124,13 +120,12 @@ def sweep_records(chis: list[float]) -> list[SweepRecord]:
             phi2=sol.phi2,
             p_max=sol.p_max,
             p_concentration=concentration_strategy_value(pair),
-            p00=p00,
-            p01=p01,
-            p10=p10,
-            p11=p11,
-        )
-        for pair, sol, (p00, p01, p10, p11) in zip(pairs, sols, per_input)
-    ]
+            p00=report.p00,
+            p01=report.p01,
+            p10=report.p10,
+            p11=report.p11,
+        ))
+    return records
 
 
 def _csv_lines(records: list[SweepRecord]) -> Iterator[str]:
@@ -143,11 +138,32 @@ def records_to_csv(records: list[SweepRecord]) -> str:
     return "".join(_csv_lines(records))
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num).tolist()`` for num >= 2, by numpy's own recipe.
+
+    Point i is i*step + start, or (i/div)*delta + start when the step
+    underflows to 0, and the last point is ``stop`` itself.  The list is
+    allocated first, so a ``num`` that cannot fit raises MemoryError at once.
+    """
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    grid = [0.0] * num
+    if step == 0:
+        for i in range(num):
+            grid[i] = i / div * delta + start
+    else:
+        for i in range(num):
+            grid[i] = i * step + start
+    grid[-1] = stop
+    return grid
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be >= 2")
-    chis = np.linspace(math.radians(args.chi_start), math.radians(args.chi_end), args.steps)
-    records = sweep_records(list(chis))
+    chis = _linspace(math.radians(args.chi_start), math.radians(args.chi_end), args.steps)
+    records = sweep_records(chis)
     _write(args, lambda: {"records": records}, lambda: _csv_lines(records))
     return 0
 

@@ -12,11 +12,13 @@ endpoints beta^2 = 0 and beta^2 = 1/2, where the curves meet.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .protocol import AngleSet, InputPair, Transcript, run_batch, run_once
 from .state import SchmidtPair, epr_state
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EPR_STRATEGY_VALUE = math.cos(math.pi / 8) ** 2
 CLASSICAL_BASELINE_VALUE = 0.75
@@ -67,6 +69,8 @@ def simulate_concentration_batch(
     interleaves each round's coin and measurement; the two agree only for a
     batch of one.  Undistilled rounds play the baseline (a = b = 0).
     """
+    import numpy as np
+
     xs, ys = np.asarray(xs), np.asarray(ys)
     distilled = rng.random(xs.shape) < concentration_success_probability(pair)
     a, b = np.zeros(xs.shape, dtype=np.int8), np.zeros(xs.shape, dtype=np.int8)

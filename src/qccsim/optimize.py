@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .protocol import AngleSet, closed_form_p
+from .protocol import AngleSet, _closed_form, closed_form_p
 from .state import SchmidtPair
 
 ACOS_CLAMP_TOL = 1e-9
@@ -80,13 +78,23 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
     has period pi in each angle), then refines the best grid point by
     REFINE_ITERS rounds of compass search with a halving step.  Deterministic:
     grid ties resolve to the lexicographically smallest (phi1, phi2).
+
+    The scan runs in pure Python on per-axis cos and sin lists, with the
+    bits of ``closed_form_p`` broadcast over the grid (squares as products,
+    as numpy squares an array).
     """
-    grid = -0.5 * math.pi + math.pi * np.arange(GRID_STEPS) / GRID_STEPS
-    values = closed_form_p(pair, AngleSet(grid[:, None], grid[None, :]))  # [phi1, phi2]
-    flat = int(np.argmax(values))
-    phi1 = float(grid[flat // GRID_STEPS])
-    phi2 = float(grid[flat % GRID_STEPS])
-    best = float(values.flat[flat])
+    grid = [-0.5 * math.pi + math.pi * i / GRID_STEPS for i in range(GRID_STEPS)]
+    ab = pair.alpha * pair.beta
+    cos = [math.cos(2.0 * phi) for phi in grid]
+    sin = [math.sin(2.0 * phi) for phi in grid]
+    axis = list(zip(cos, sin, [s * s for s in sin]))
+    # A NaN alpha*beta never beats -inf; the refinement's closed_form_p then refuses it.
+    best, phi1, phi2 = -math.inf, grid[0], grid[0]
+    for i, (c1, s1, sq1) in enumerate(axis):
+        row = [_closed_form(ab, c1, s1, sq1, c2, s2, sq2) for c2, s2, sq2 in axis]
+        top = max(row)
+        if top > best:  # the first maximum in row-major order, as argmax finds it
+            best, phi1, phi2 = top, grid[i], grid[row.index(top)]
 
     step = math.pi / GRID_STEPS
     for _ in range(REFINE_ITERS):
@@ -102,6 +110,5 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
                     moved = True
         step *= 0.5
 
-    ab = pair.alpha * pair.beta
     return AngleSolution(phi1, phi2, 4.0 * ab / math.sqrt(1.0 + 4.0 * ab * ab), best)
 

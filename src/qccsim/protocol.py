@@ -12,6 +12,11 @@ b XOR y1.  XOR-ing the two exchanged bits yields x1 XOR y1 XOR (a XOR b) on
 both sides, which equals f exactly when the outcome parity a XOR b matches
 x0 AND y0.  High bits therefore cancel out of the success probability; only
 (x0, y0) matters.
+
+The exact values (``exact_success_probability``, ``closed_form_p`` and the
+CDF edges behind ``run_once``) run in pure Python on Python numbers and
+broadcast on numpy arrays; numpy is imported only by the functions that
+take or return arrays, and by the samplers that draw from a generator.
 """
 
 from __future__ import annotations
@@ -19,16 +24,13 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .classical import _target
-from .state import SchmidtPair, rotated_amplitudes
+from .state import SchmidtPair, _rotate
 
-# Low bits (x0, y0) of the outcome table's rows, which are indexed 2*x0 + y0.
-_X0 = np.array([0, 0, 1, 1])
-_Y0 = np.array([0, 1, 0, 1])
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InputPair(NamedTuple):
@@ -113,23 +115,52 @@ def target_function(inputs: InputPair) -> int:
     return _target(inputs.x, inputs.y)
 
 
-def _outcome_table(alpha, beta, phi1, phi2) -> np.ndarray:
-    """Born probabilities indexed [..., 2*x0 + y0, outcome], outcomes in basis order.
+def _functions(*values):
+    """``(cos, sin, values)`` for the arithmetic below, which runs on either kind of number.
 
-    Each party turns by phi1 on a low bit of 0 and by phi2 on 1.  Broadcasts
-    over all four arguments; a non-finite argument raises ValueError.
+    math's cos and sin when every value is a Python number; otherwise
+    numpy's, with the values as float arrays broadcast against each other.
+    Raises ValueError if a value is not finite.
     """
-    alpha, beta, phi1, phi2 = (np.asarray(v, dtype=float) for v in (alpha, beta, phi1, phi2))
-    if not all(np.isfinite(v).all() for v in (alpha, beta, phi1, phi2)):
+    if all(isinstance(v, (int, float)) for v in values):
+        cos, sin, finite = math.cos, math.sin, math.isfinite
+    else:
+        import numpy as np
+
+        values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+        cos, sin, finite = np.cos, np.sin, lambda v: bool(np.isfinite(v).all())
+    if not all(map(finite, values)):
         raise ValueError("amplitudes and rotation angles must be finite")
-    phi1, phi2 = phi1[..., None], phi2[..., None]
-    amps = rotated_amplitudes(
-        alpha[..., None], beta[..., None], np.where(_X0, phi2, phi1), np.where(_Y0, phi2, phi1)
-    )
-    return amps * amps
+    return cos, sin, values
 
 
-# run_once plays many rounds on one (pair, angles); building the numpy table
+def _outcome_table(alpha, beta, phi1, phi2) -> list[tuple]:
+    """Born probabilities ``table[2*x0 + y0][outcome]``, outcomes in basis order.
+
+    Each party turns by phi1 on a low bit of 0 and by phi2 on 1.  Floats in,
+    floats out; arrays broadcast (see ``_functions``).  A non-finite argument
+    raises ValueError.
+    """
+    cos, sin, (alpha, beta, phi1, phi2) = _functions(alpha, beta, phi1, phi2)
+    trig = ((cos(phi1), sin(phi1)), (cos(phi2), sin(phi2)))  # indexed by the low bit
+    return [
+        tuple(amp * amp for amp in _rotate(alpha, beta, *trig[x0], *trig[y0]))
+        for x0 in (0, 1)
+        for y0 in (0, 1)
+    ]
+
+
+def _wins(table: list) -> list:
+    """Per table row, the entries of the outcomes that win there.
+
+    A run at (x0, y0) succeeds when the outcome parity a XOR b equals
+    x0 AND y0: on the even outcomes {00, 11} unless both low bits are 1 (row
+    3), on the odd ones {01, 10} then.
+    """
+    return [t[1] + t[2] if row == 3 else t[0] + t[3] for row, t in enumerate(table)]
+
+
+# run_once plays many rounds on one (pair, angles); building the table
 # afresh would cost more than the rest of a round.
 @functools.lru_cache(maxsize=64)
 def _outcome_edges(pair: SchmidtPair, angles: AngleSet) -> tuple[tuple[float, float, float], ...]:
@@ -139,25 +170,32 @@ def _outcome_edges(pair: SchmidtPair, angles: AngleSet) -> tuple[tuple[float, fl
     (basis order, so outcome k gives a = k >> 1 and b = k & 1); a u in the
     roundoff sliver above the last edge still gives outcome 3.
     """
-    table = _outcome_table(pair.alpha, pair.beta, angles.phi1, angles.phi2)
-    return tuple(map(tuple, np.cumsum(table, axis=-1)[:, :3].tolist()))
+    edges = []
+    for p0, p1, p2, _ in _outcome_table(pair.alpha, pair.beta, angles.phi1, angles.phi2):
+        e1 = p0 + p1
+        edges.append((float(p0), float(e1), float(e1 + p2)))
+    return tuple(edges)
 
 
 def exact_success_probability(pair: SchmidtPair, angles: AngleSet) -> PerInputReport:
     """All four per-input success probabilities and their uniform average.
 
-    A run at (x0, y0) succeeds when the outcome parity a XOR b equals
-    x0 AND y0: on the even outcomes {00, 11} unless both low bits are 1, on
-    the odd ones {01, 10} then.  Inputs are uniform, so (x0, y0) is uniform
-    over the four combinations; the high bits never affect success (they
-    cancel in the XOR).  The fields of ``pair`` and ``angles`` may be numpy
-    arrays, and the report's fields then broadcast over them.
+    Inputs are uniform, so (x0, y0) is uniform over the four combinations;
+    the high bits never affect success (they cancel in the XOR).  The fields
+    of ``pair`` and ``angles`` may be numpy arrays, and the report's fields
+    then broadcast over them.
     """
-    table = _outcome_table(pair.alpha, pair.beta, angles.phi1, angles.phi2)
-    even = table[..., 0] + table[..., 3]
-    odd = table[..., 1] + table[..., 2]
-    p00, p01, p10, p11 = np.moveaxis(np.where(_X0 & _Y0, odd, even), -1, 0)
+    p00, p01, p10, p11 = _wins(_outcome_table(pair.alpha, pair.beta, angles.phi1, angles.phi2))
     return PerInputReport(p00, p01, p10, p11, (p00 + p01 + p10 + p11) / 4.0)
+
+
+def _closed_form(ab, c1, s1, sq1, c2, s2, sq2):
+    """The closed form from alpha*beta and, per angle phi_k, cos 2phi_k, sin 2phi_k and its square.
+
+    Arithmetic only, evaluated left to right, so it runs on Python floats
+    and broadcasts on arrays with the same bits.
+    """
+    return 0.5 + 0.25 * c1 * c2 + 0.5 * ab * s1 * s2 + 0.125 * (1.0 - 2.0 * ab) * (sq2 - sq1)
 
 
 def closed_form_p(pair: SchmidtPair, angles: AngleSet) -> float | np.ndarray:
@@ -165,17 +203,12 @@ def closed_form_p(pair: SchmidtPair, angles: AngleSet) -> float | np.ndarray:
 
     Depends on the state only through alpha*beta.  Elementwise like
     ``exact_success_probability``: the fields of ``pair`` and ``angles`` may
-    be numpy arrays, and the result then broadcasts over them (the numeric
-    optimizer scans a whole angle grid in one call).
+    be numpy arrays, and the result then broadcasts over them.  A non-finite
+    field raises ValueError.
     """
-    ab = pair.alpha * pair.beta
-    phi1, phi2 = angles
-    return (
-        0.5
-        + 0.25 * np.cos(2.0 * phi1) * np.cos(2.0 * phi2)
-        + 0.5 * ab * np.sin(2.0 * phi1) * np.sin(2.0 * phi2)
-        + 0.125 * (1.0 - 2.0 * ab) * (np.sin(2.0 * phi2) ** 2 - np.sin(2.0 * phi1) ** 2)
-    )
+    cos, sin, (alpha, beta, phi1, phi2) = _functions(pair.alpha, pair.beta, *angles)
+    s1, s2 = sin(2.0 * phi1), sin(2.0 * phi2)
+    return _closed_form(alpha * beta, cos(2.0 * phi1), s1, s1**2, cos(2.0 * phi2), s2, s2**2)
 
 
 def run_once(
@@ -192,6 +225,8 @@ def run_once(
 
 def _edge_columns(pair: SchmidtPair, angles: AngleSet) -> np.ndarray:
     """``_outcome_edges`` transposed to a (3, 4) array: line j holds edge j of every table row."""
+    import numpy as np
+
     return np.array(_outcome_edges(pair, angles)).T
 
 
@@ -200,6 +235,8 @@ def _outcomes(columns: np.ndarray, row: np.ndarray, us: np.ndarray) -> np.ndarra
 
     ``columns`` comes from ``_edge_columns``.
     """
+    import numpy as np
+
     k = np.zeros(row.shape, dtype=np.int8)
     for column in columns:
         k += us >= column[row]
@@ -219,6 +256,8 @@ def run_batch(
     outcomes and the generator's final state are those of looping
     ``run_once`` over the same inputs and generator.
     """
+    import numpy as np
+
     xs, ys = np.asarray(xs), np.asarray(ys)
     row = 2 * (xs & 1) + (ys & 1)
     k = _outcomes(_edge_columns(pair, angles), row, rng.random(xs.shape))
@@ -230,9 +269,6 @@ def run_batch(
 # keeps each per-chunk array at most 128 KiB (see monte_carlo).
 _CHUNK = 2**14
 
-_SHIFT_X0, _SHIFT_Y0 = np.uint64(29), np.uint64(62)
-_MASK_X0, _MASK_Y0 = np.uint64(2), np.uint64(1)
-
 
 def _input_rows(words: np.ndarray) -> np.ndarray:
     """Row 2*x0 + y0 of each input pair that ``integers(0, 4, size=(n, 2))`` makes of ``words``.
@@ -241,10 +277,11 @@ def _input_rows(words: np.ndarray) -> np.ndarray:
     32-bit half of a 64-bit word, the low half first: x is bits 30-31 and y
     bits 62-63, so x0 is bit 30 and y0 bit 62.
     """
+    import numpy as np
+
+    u64 = np.uint64
     # One expression, so numpy reuses its temporaries in place (two fewer chunk-sized arrays).
-    return (
-        (words >> _SHIFT_X0) & _MASK_X0 | (words >> _SHIFT_Y0) & _MASK_Y0
-    ).astype(np.intp)
+    return ((words >> u64(29)) & u64(2) | (words >> u64(62)) & u64(1)).astype(np.intp)
 
 
 def monte_carlo(
@@ -273,6 +310,8 @@ def monte_carlo(
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    import numpy as np
+
     inputs = np.random.default_rng(seed)
     uniforms = np.random.default_rng(seed)
     uniforms.bit_generator.advance(trials)
@@ -284,14 +323,9 @@ def monte_carlo(
         k = _outcomes(columns, row, uniforms.random(n))
         histogram += np.bincount(4 * row + k, minlength=16)
 
-    histogram = histogram.reshape(4, 4)
-    # Even outcomes {0, 3} win unless x0 AND y0 = 1 (row 3); the odd {1, 2} win there.
-    even = histogram[:, 0] + histogram[:, 3]
-    odd = histogram[:, 1] + histogram[:, 2]
-    wins = np.where(_X0 & _Y0, odd, even)
-    counts = {
-        (row >> 1, row & 1): (int(wins[row]), int(histogram[row].sum())) for row in range(4)
-    }
-    estimate = float(wins.sum()) / trials
+    table = histogram.reshape(4, 4).tolist()
+    wins = _wins(table)
+    counts = {(row >> 1, row & 1): (wins[row], sum(table[row])) for row in range(4)}
+    estimate = float(sum(wins)) / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     return MonteCarloResult(estimate, std_error, counts)

@@ -1,5 +1,9 @@
 """The shared pair and the one rotation kernel applied to it.
 
+This module imports no numpy: the kernel ``_rotate`` is plain arithmetic on
+whatever it is given (Python floats or numpy arrays), and only the public
+``rotated_amplitudes``, which returns an ndarray, imports numpy when called.
+
 The shared resource throughout this package is a qubit pair in the state
 alpha|00> + beta|11> with real amplitudes, alpha^2 + beta^2 = 1.  Each party
 manipulates its own qubit only with the planar rotation
@@ -21,9 +25,10 @@ on by every other module:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 NORM_TOL = 1e-12
 CHI_DOMAIN_TOL = 1e-12
@@ -79,23 +84,31 @@ def epr_state() -> SchmidtPair:
     return SchmidtPair(s, -s, EPR_CHI)
 
 
-def rotated_amplitudes(alpha, beta, phi_a, phi_b) -> np.ndarray:
-    """Amplitudes of R(phi_a) x R(phi_b) applied to alpha|00> + beta|11>.
+def _rotate(alpha, beta, ca, sa, cb, sb):
+    """Amplitudes (c00, c01, c10, c11) of R(phi_a) x R(phi_b) on alpha|00> + beta|11>.
 
-    Alice's qubit turns by phi_a, Bob's by phi_b.  Every argument broadcasts
-    (angles are radians) and the result has shape (..., 4), in the basis order
-    |00>, |01>, |10>, |11>.  The arithmetic is fixed -- Bob's rotation within
-    each row of the 2x2 coefficient grid, then Alice's across the rows -- so
-    equal inputs give bit-identical amplitudes in any broadcast shape.
+    ``ca, sa`` are cos and sin of Alice's angle phi_a, ``cb, sb`` those of
+    Bob's phi_b.  Only arithmetic operators, so it runs on Python floats and
+    broadcasts on numpy arrays alike.  The order is fixed -- Bob's rotation
+    within each row of the 2x2 coefficient grid, then Alice's across the
+    rows -- so equal inputs give bit-identical amplitudes either way.
     """
-    ca, sa = np.cos(phi_a), np.sin(phi_a)
-    cb, sb = np.cos(phi_b), np.sin(phi_b)
     b00 = alpha * cb
     b01 = alpha * sb
     b10 = -beta * sb
     b11 = beta * cb
-    return np.stack(
-        (b00 * ca - b10 * sa, b01 * ca - b11 * sa, b00 * sa + b10 * ca, b01 * sa + b11 * ca),
-        axis=-1,
-    )
+    return b00 * ca - b10 * sa, b01 * ca - b11 * sa, b00 * sa + b10 * ca, b01 * sa + b11 * ca
 
+
+def rotated_amplitudes(alpha, beta, phi_a, phi_b) -> np.ndarray:
+    """Amplitudes of R(phi_a) x R(phi_b) applied to alpha|00> + beta|11>.
+
+    Alice's qubit turns by phi_a, Bob's by phi_b.  Every argument broadcasts
+    (angles are radians) and the result is an ndarray of shape (..., 4), in
+    the basis order |00>, |01>, |10>, |11>, computed by ``_rotate``.
+    """
+    import numpy as np
+
+    return np.stack(
+        _rotate(alpha, beta, np.cos(phi_a), np.sin(phi_a), np.cos(phi_b), np.sin(phi_b)), axis=-1
+    )

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qccsim import cli
@@ -246,6 +247,19 @@ def test_refused_sweep_creates_no_file(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("start,stop,steps", [
+    (math.radians(-45.0), 0.0, 2),
+    (math.radians(-10.0), math.radians(-10.0), 7),  # start == stop: the zero-step branch
+    (0.0, 1e-320, 5000),  # a step that underflows to 0 with delta != 0
+    (0.0, math.radians(-45.0), 100),  # reversed range
+    (math.radians(-45.0), 0.0, 2001),  # the golden sweeps' grid
+    (math.radians(-44.123), math.radians(-3.7), 1237),
+])
+def test_sweep_grid_equals_numpy_linspace(start, stop, steps):
+    grid = cli._linspace(start, stop, steps)
+    assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(start, stop, steps).tolist()]
+
+
 def test_sweep_json_is_written_record_by_record():
     # the whole document as one string (and json's chunk list) peaked at 6.6 MiB
     argv = ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2001", "--format", "json"]
@@ -333,7 +347,8 @@ def test_simulate_json_is_strict_for_unbounded_z(capsys):
 
 
 def test_oversized_request_exits_1(capsys):
-    # 7 PiB: beyond the 47-bit address space, so numpy refuses at once.
+    # 7 PiB of list slots: beyond the 47-bit address space, so the grid's
+    # allocation fails at once, before any point is computed.
     # (simulate streams its trials in chunks, so no --trials fails on memory.)
     argv = ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "1000000000000000"]
     code, out, err = run_cli(argv, capsys)

@@ -1,8 +1,9 @@
 """Import boundary: what a fresh interpreter loads for each entry point.
 
-``python -m qccsim classical`` and a bare ``import qccsim`` must not load
-numpy, while ``import qccsim.cli`` loads every layer module (the benchmark's
-tracer reads them from ``sys.modules`` after that one import).
+A bare ``import qccsim`` and every subcommand but ``simulate`` -- refusals
+included -- must not load numpy; ``simulate`` must.  ``import qccsim.cli``
+loads every layer module (the benchmark's tracer reads them from
+``sys.modules`` after that one import).
 """
 
 import importlib
@@ -30,12 +31,12 @@ PUBLIC = {
 }
 
 
-def _python(*args):
+def _python(*args, code=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
 
 
@@ -45,15 +46,35 @@ def _imported(stderr):
             if line.startswith("import time:") and "|" in line}
 
 
+def _numpy(modules):
+    return {m for m in modules if m == "numpy" or m.startswith("numpy.")}
+
+
 @pytest.mark.parametrize("args", [
     ["-m", "qccsim", "classical", "--mode", "simultaneous"],
     ["-m", "qccsim", "classical", "--mode", "sequential"],
     ["-c", "import qccsim"],
+    ["-m", "qccsim", "exact", "--chi", "-30"],
+    ["-m", "qccsim", "exact", "--alpha", "0.8", "--beta", "-0.6"],
+    ["-m", "qccsim", "optimal", "--chi", "-30"],
+    ["-m", "qccsim", "sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "31",
+     "--format", "json"],
 ])
 def test_entry_points_do_not_import_numpy(args):
     modules = _imported(_python("-X", "importtime", *args).stderr)
     assert "qccsim" in modules
-    assert not {m for m in modules if m == "numpy" or m.startswith("numpy.")}
+    assert not _numpy(modules)
+
+
+def test_refused_request_does_not_import_numpy():
+    proc = _python("-X", "importtime", "-m", "qccsim", "exact", "--chi", "10", code=2)
+    assert "outside the canonical domain" in proc.stderr
+    assert not _numpy(_imported(proc.stderr))
+
+
+def test_simulate_imports_numpy():
+    proc = _python("-X", "importtime", "-m", "qccsim", "simulate", "--chi", "-30", "--trials", "10")
+    assert "numpy" in _numpy(_imported(proc.stderr))
 
 
 def test_cli_module_imports_every_layer():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qccsim.optimize import optimal_closed_form, optimal_numeric
+from qccsim.optimize import GRID_STEPS, REFINE_ITERS, optimal_closed_form, optimal_numeric
 from qccsim.protocol import AngleSet, closed_form_p
 from qccsim.state import SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
 from oracles import horodecki_bound
@@ -84,6 +84,38 @@ def test_numeric_matches_closed_form():
         sol = optimal_closed_form(pair)
         numeric = optimal_numeric(pair)
         assert abs(numeric.p_max - sol.p_max) < 1e-9
+
+
+def _numpy_scan_optimum(pair):
+    """``optimal_numeric`` as a numpy broadcast scan: closed_form_p over the
+    whole grid, its first argmax, then the same compass refinement."""
+    grid = -0.5 * math.pi + math.pi * np.arange(GRID_STEPS) / GRID_STEPS
+    values = closed_form_p(pair, AngleSet(grid[:, None], grid[None, :]))  # [phi1, phi2]
+    flat = int(np.argmax(values))
+    phi1, phi2 = float(grid[flat // GRID_STEPS]), float(grid[flat % GRID_STEPS])
+    best = float(values.flat[flat])
+    step = math.pi / GRID_STEPS
+    for _ in range(REFINE_ITERS):
+        moved, inner = True, 0
+        while moved and inner < 100:
+            moved, inner = False, inner + 1
+            for d1, d2 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+                cand = float(closed_form_p(pair, AngleSet(phi1 + d1, phi2 + d2)))
+                if cand > best:
+                    best, phi1, phi2, moved = cand, phi1 + d1, phi2 + d2, True
+        step *= 0.5
+    return phi1, phi2, best
+
+
+# The 33-state grid, then seeded chi in [-45, 45] degrees for both signs of alpha*beta.
+_SCAN_CHIS = CHI_GRID + np.random.default_rng(41).uniform(-math.pi / 4, math.pi / 4, 64).tolist()
+
+
+@pytest.mark.parametrize("chi", _SCAN_CHIS)
+def test_numeric_scan_equals_numpy_broadcast_scan(chi):
+    pair = SchmidtPair(math.cos(chi), math.sin(chi), chi)
+    numeric = optimal_numeric(pair)
+    assert (numeric.phi1, numeric.phi2, numeric.p_max) == _numpy_scan_optimum(pair)
 
 
 def test_numeric_endpoint_values():

@@ -87,6 +87,20 @@ def test_non_finite_inputs_are_rejected(pair, angles):
         run_once(pair, angles, InputPair(0, 0), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("field", range(4))  # alpha, beta, phi1, phi2
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_closed_form_rejects_non_finite_inputs(field, bad, as_array):
+    values = [*epr_state()[:2], *EPR_ANGLES]
+    values[field] = bad
+    if as_array:
+        values = [np.full(3, v) for v in values]
+    pair, angles = SchmidtPair(*values[:2], 0.0), AngleSet(*values[2:])
+    for evaluate in (closed_form_p, exact_success_probability):
+        with pytest.raises(ValueError, match="^amplitudes and rotation angles must be finite$"):
+            evaluate(pair, angles)
+
+
 def test_exact_broadcasts_over_states_and_angles():
     rng = np.random.default_rng(25)
     pairs = [random_canonical_pair(rng) for _ in range(50)]
