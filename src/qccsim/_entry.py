@@ -22,7 +22,6 @@ in memory (``sweep --steps 1000000000000000``), 2 usage or domain error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -60,9 +59,10 @@ class SweepRecord(NamedTuple):
 
 CSV_HEADER = ",".join(SweepRecord._fields)
 # One record as ``json.dumps(..., indent=2)`` writes it in a sweep's
-# ``records`` array, with a %s for each value.
+# ``records`` array, with a %s for each value (the field names are
+# identifiers, which JSON quotes as they are).
 _RECORD_JSON = "    {\n" + ",\n".join(
-    f"      {json.dumps(name)}: %s" for name in SweepRecord._fields) + "\n    }"
+    f'      "{name}": %s' for name in SweepRecord._fields) + "\n    }"
 
 
 def _fmt(value: float) -> str:
@@ -78,6 +78,8 @@ def _json_pieces(doc: dict) -> Iterable[str]:
     piece per record from ``_RECORD_JSON`` with ``float.__repr__``, which is
     what ``json`` writes for a finite float; every value is checked first.
     """
+    import json  # here, not at the top: text and CSV output never need it
+
     if not doc.get("records"):
         return [json.dumps(doc, indent=2, allow_nan=False) + "\n"]
     records = doc.pop("records")

@@ -27,8 +27,10 @@ never passes through floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MODE_SIMULTANEOUS = "simultaneous"
 MODE_SEQUENTIAL = "sequential"
@@ -228,6 +230,8 @@ def enumerate_best(mode: str) -> EnumerationResult:
     counts = _output_counts(tables, mode, ma, mb)
     oa, ob = min((_majority_out_alice(_decode_witness(mode, ma, mb, 0, ob)), ob)
                  for ob, c in enumerate(counts) if c == count)
+    from fractions import Fraction  # here, not at the top: the analytic commands never need it
+
     return EnumerationResult(
         best_success_count=count,
         best_probability=Fraction(count, N_INPUT_PAIRS),

@@ -16,7 +16,7 @@ import math
 import sys
 from typing import Iterator
 
-from ._entry import CSV_HEADER, SweepRecord, _fmt, _kv_report, _write, main, run
+from ._entry import CSV_HEADER, SweepRecord, _kv_report, _write, main, run
 from .concentration import concentration_strategy_value
 from .optimize import optimal_closed_form, optimal_numeric
 from .protocol import AngleSet, closed_form_p, exact_success_probability, monte_carlo
@@ -128,10 +128,14 @@ def sweep_records(chis: list[float]) -> list[SweepRecord]:
     return records
 
 
+# One CSV row: every field as ``_entry._fmt`` writes it (%-formatting takes the float of each).
+_CSV_ROW = ",".join(["%.12g"] * len(SweepRecord._fields)) + "\n"
+
+
 def _csv_lines(records: list[SweepRecord]) -> Iterator[str]:
     yield CSV_HEADER + "\n"
     for r in records:
-        yield ",".join(map(_fmt, r)) + "\n"
+        yield _CSV_ROW % r
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:

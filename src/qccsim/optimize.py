@@ -5,6 +5,20 @@ success probability; ``optimal_numeric`` maximizes the same objective by
 exhaustive grid scan and local refinement and serves as its independent
 verification oracle.  The two are compared on achieved value only -- the
 objective has symmetries, so the maximizing angles need not coincide.
+
+The scan evaluates only the cells that can still beat the best one so far.
+On a row of fixed phi1 the objective is
+
+    1/2 + a cos 2phi2 + b sin 2phi2 + q (sin^2 2phi2 - sin^2 2phi1),
+
+which no phi2 lifts above 1/2 + hypot(a, b) + max(q, 0) - q sin^2 2phi1.
+On a block of SCAN_BLOCK consecutive columns each term is bounded on its own
+by the block's range of cos 2phi2, sin 2phi2 and sin^2 2phi2.  A row, or a
+block of a row, whose bound plus a margin far above the rounding of either
+side lies below the best cell so far is skipped.  Each of its cells is below
+the best, so the full scan would not take it either; a block that holds a new
+maximum is never skipped, and its first maximum is the row's.  The result,
+ties included, is therefore the full scan's first maximum in row-major order.
 """
 
 from __future__ import annotations
@@ -12,11 +26,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .protocol import AngleSet, _closed_form, closed_form_p
+from .protocol import AngleSet, _row_coefficients, closed_form_p
 from .state import SchmidtPair
 
 ACOS_CLAMP_TOL = 1e-9
 GRID_STEPS = 256  # optimal_numeric's scan is GRID_STEPS x GRID_STEPS
+SCAN_BLOCK = 32  # columns per block of the scan's pruning bound
 REFINE_ITERS = 40  # compass-search step halvings after the scan
 
 
@@ -79,22 +94,42 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
     REFINE_ITERS rounds of compass search with a halving step.  Deterministic:
     grid ties resolve to the lexicographically smallest (phi1, phi2).
 
-    The scan runs in pure Python on per-axis cos and sin lists, with the
-    bits of ``closed_form_p`` broadcast over the grid (squares as products,
-    as numpy squares an array).
+    The scan runs in pure Python on per-axis cos, sin and squared-sin lists.
+    Each row takes its factors from ``protocol._row_coefficients`` and each
+    cell is ``protocol._closed_form``'s last line, so every cell has the bits
+    ``closed_form_p`` gives it on arrays (squares as products, as numpy
+    squares an array).  Rows and column blocks whose bound (see the module
+    docstring) plus 1e-12 (1 + |alpha*beta|) is below the best cell so far
+    are skipped, which leaves the first maximum in row-major order that of
+    the full scan.  A NaN bound never skips.
     """
     grid = [-0.5 * math.pi + math.pi * i / GRID_STEPS for i in range(GRID_STEPS)]
     ab = pair.alpha * pair.beta
     cos = [math.cos(2.0 * phi) for phi in grid]
     sin = [math.sin(2.0 * phi) for phi in grid]
     axis = list(zip(cos, sin, [s * s for s in sin]))
+    blocks = []  # (first column, its cells, then the range of cos, sin and squared sin over them)
+    for j in range(0, GRID_STEPS, SCAN_BLOCK):
+        cells = axis[j:j + SCAN_BLOCK]
+        c2, s2, sq2 = zip(*cells)
+        blocks.append((j, cells, min(c2), max(c2), min(s2), max(s2), min(sq2), max(sq2)))
+    # The bounds' margin, far above their and the cells' rounding (~1e-15 (1 + |ab|)).
+    slack = 1e-12 * (1.0 + abs(ab))
     # A NaN alpha*beta never beats -inf; the refinement's closed_form_p then refuses it.
     best, phi1, phi2 = -math.inf, grid[0], grid[0]
     for i, (c1, s1, sq1) in enumerate(axis):
-        row = [_closed_form(ab, c1, s1, sq1, c2, s2, sq2) for c2, s2, sq2 in axis]
-        top = max(row)
-        if top > best:  # the first maximum in row-major order, as argmax finds it
-            best, phi1, phi2 = top, grid[i], grid[row.index(top)]
+        a, b, q = _row_coefficients(ab, c1, s1)
+        base = 0.5 - q * sq1 + slack
+        if base + math.hypot(a, b) + max(q, 0.0) < best:
+            continue
+        for j, cells, c_lo, c_hi, s_lo, s_hi, sq_lo, sq_hi in blocks:
+            lift = max(a * c_lo, a * c_hi) + max(b * s_lo, b * s_hi) + max(q * sq_lo, q * sq_hi)
+            if base + lift < best:
+                continue
+            values = [0.5 + a * c2 + b * s2 + q * (sq2 - sq1) for c2, s2, sq2 in cells]
+            top = max(values)
+            if top > best:  # the first maximum in row-major order, as argmax finds it
+                best, phi1, phi2 = top, grid[i], grid[j + values.index(top)]
 
     step = math.pi / GRID_STEPS
     for _ in range(REFINE_ITERS):

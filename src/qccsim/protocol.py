@@ -143,11 +143,12 @@ def _outcome_table(alpha, beta, phi1, phi2) -> list[tuple]:
     """
     cos, sin, (alpha, beta, phi1, phi2) = _functions(alpha, beta, phi1, phi2)
     trig = ((cos(phi1), sin(phi1)), (cos(phi2), sin(phi2)))  # indexed by the low bit
-    return [
-        tuple(amp * amp for amp in _rotate(alpha, beta, *trig[x0], *trig[y0]))
-        for x0 in (0, 1)
-        for y0 in (0, 1)
-    ]
+    table = []
+    for ca, sa in trig:  # x0
+        for cb, sb in trig:  # y0
+            c00, c01, c10, c11 = _rotate(alpha, beta, ca, sa, cb, sb)
+            table.append((c00 * c00, c01 * c01, c10 * c10, c11 * c11))
+    return table
 
 
 def _wins(table: list) -> list:
@@ -189,13 +190,22 @@ def exact_success_probability(pair: SchmidtPair, angles: AngleSet) -> PerInputRe
     return PerInputReport(p00, p01, p10, p11, (p00 + p01 + p10 + p11) / 4.0)
 
 
+def _row_coefficients(ab, c1, s1):
+    """The closed form's factors a, b, q, fixed by alpha*beta and phi1 (see ``_closed_form``)."""
+    return 0.25 * c1, 0.5 * ab * s1, 0.125 * (1.0 - 2.0 * ab)
+
+
 def _closed_form(ab, c1, s1, sq1, c2, s2, sq2):
     """The closed form from alpha*beta and, per angle phi_k, cos 2phi_k, sin 2phi_k and its square.
 
-    Arithmetic only, evaluated left to right, so it runs on Python floats
-    and broadcasts on arrays with the same bits.
+    p = 1/2 + a cos 2phi2 + b sin 2phi2 + q (sin^2 2phi2 - sin^2 2phi1), with
+    a = cos(2phi1)/4, b = alpha*beta sin(2phi1)/2 and q = (1 - 2 alpha*beta)/8
+    from ``_row_coefficients``.  Arithmetic only, evaluated left to right, so
+    it runs on Python floats and broadcasts on arrays with the same bits.
+    ``optimize.optimal_numeric`` evaluates the last line inline per grid cell.
     """
-    return 0.5 + 0.25 * c1 * c2 + 0.5 * ab * s1 * s2 + 0.125 * (1.0 - 2.0 * ab) * (sq2 - sq1)
+    a, b, q = _row_coefficients(ab, c1, s1)
+    return 0.5 + a * c2 + b * s2 + q * (sq2 - sq1)
 
 
 def closed_form_p(pair: SchmidtPair, angles: AngleSet) -> float | np.ndarray:

@@ -1,7 +1,8 @@
 """Import boundary: what a fresh interpreter loads for each entry point.
 
 A bare ``import qccsim`` and every subcommand but ``simulate`` -- refusals
-included -- must not load numpy; ``simulate`` must.  ``import qccsim.cli``
+included -- must not load numpy; ``simulate`` must.  Text and CSV output
+load neither ``json`` nor ``fractions``.  ``import qccsim.cli``
 loads every layer module (the benchmark's tracer reads them from
 ``sys.modules`` after that one import).
 """
@@ -70,6 +71,18 @@ def test_refused_request_does_not_import_numpy():
     proc = _python("-X", "importtime", "-m", "qccsim", "exact", "--chi", "10", code=2)
     assert "outside the canonical domain" in proc.stderr
     assert not _numpy(_imported(proc.stderr))
+
+
+@pytest.mark.parametrize("args", [
+    ["exact", "--chi", "-30"],
+    ["optimal", "--chi", "-30"],
+    ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "31"],
+])
+def test_text_output_loads_neither_json_nor_fractions(args):
+    lines = _python("-X", "importtime", "-m", "qccsim", *args).stderr.splitlines()
+    # what the interpreter's own start-up loaded is listed before the package
+    after = lines[[line.endswith("| qccsim") for line in lines].index(True):]
+    assert not {"json", "fractions"} & _imported("\n".join(after))
 
 
 def test_simulate_imports_numpy():

@@ -109,13 +109,43 @@ def _numpy_scan_optimum(pair):
 
 # The 33-state grid, then seeded chi in [-45, 45] degrees for both signs of alpha*beta.
 _SCAN_CHIS = CHI_GRID + np.random.default_rng(41).uniform(-math.pi / 4, math.pi / 4, 64).tolist()
+# States where the scan's pruning bound is tight or degenerate: at chi = 0 the
+# sin 2phi2 factor is 0 and every row ties; the EPR state has alpha*beta = -1/2;
+# at alpha*beta = +1/2 the squared-sin factor (1 - 2 alpha*beta)/8 is 0, or
+# just below 0 where the product rounds up; an unnormalized pair, which the
+# scan takes as it is, makes that factor clearly negative.
+_SCAN_EDGES = {
+    "product": SchmidtPair(1.0, 0.0, 0.0),
+    "epr": epr_state(),
+    "ab=+1/2": SchmidtPair.from_amplitudes(0.7071067811865476, 0.7071067811865475),
+    "ab=+1/2+ulp": SchmidtPair.from_amplitudes(math.sqrt(0.5), math.sqrt(0.5)),
+    "ab=6": SchmidtPair(3.0, 2.0, 0.0),
+}
+_SCAN_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c), c), id=str(c))
+               for c in _SCAN_CHIS]
+_SCAN_PAIRS += [pytest.param(pair, id=name) for name, pair in _SCAN_EDGES.items()]
 
 
-@pytest.mark.parametrize("chi", _SCAN_CHIS)
-def test_numeric_scan_equals_numpy_broadcast_scan(chi):
-    pair = SchmidtPair(math.cos(chi), math.sin(chi), chi)
+def test_scan_edges_are_as_named():
+    ab = {name: pair.alpha * pair.beta for name, pair in _SCAN_EDGES.items()}
+    assert ab["product"] == 0.0
+    assert ab["epr"] == -0.5000000000000001
+    assert ab["ab=+1/2"] == 0.5 and 1.0 - 2.0 * ab["ab=+1/2"] == 0.0
+    assert 1.0 - 2.0 * ab["ab=+1/2+ulp"] < 0.0
+    assert ab["ab=6"] == 6.0
+
+
+@pytest.mark.parametrize("pair", _SCAN_PAIRS)
+def test_numeric_scan_equals_numpy_broadcast_scan(pair):
     numeric = optimal_numeric(pair)
     assert (numeric.phi1, numeric.phi2, numeric.p_max) == _numpy_scan_optimum(pair)
+
+
+@pytest.mark.parametrize("alpha,beta", [(math.nan, -0.5), (0.8, math.nan), (math.inf, -0.5),
+                                        (0.8, -math.inf), (math.inf, math.inf)])
+def test_numeric_refuses_non_finite_amplitudes(alpha, beta):
+    with pytest.raises(ValueError, match="^amplitudes and rotation angles must be finite$"):
+        optimal_numeric(SchmidtPair(alpha, beta, 0.0))
 
 
 def test_numeric_endpoint_values():

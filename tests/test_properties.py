@@ -124,6 +124,22 @@ def test_sweep_json_renders_as_json_dumps(records):
     assert _write_sweep(records) == want
 
 
+# CSV, unlike JSON, writes NaN and infinities too.
+csv_record = st.one_of(
+    record, st.builds(cli.SweepRecord, *[st.floats()] * len(cli.SweepRecord._fields)))
+NON_FINITE = [math.nan, math.inf, -math.inf] * 4
+
+
+@PROPERTY
+@given(records=st.lists(csv_record, max_size=6))
+@example(records=[cli.SweepRecord(*SPECIAL[:len(cli.SweepRecord._fields)]),
+                  cli.SweepRecord(*NON_FINITE[:len(cli.SweepRecord._fields)])])
+def test_sweep_csv_renders_each_field_at_12_digits(records):
+    want = [cli.CSV_HEADER + "\n"]
+    want += [",".join(format(float(v), ".12g") for v in r) + "\n" for r in records]
+    assert list(cli._csv_lines(records)) == want
+
+
 @PROPERTY
 @given(records=st.lists(record, min_size=1, max_size=4), data=st.data(),
        bad=st.sampled_from([math.nan, math.inf, -math.inf]))

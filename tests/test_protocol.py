@@ -46,7 +46,7 @@ def test_target_function_full_table():
             assert target_function(InputPair(x, y)) == want
 
 
-def test_angle_for():
+def test_phi1_turns_a_low_bit_of_0_and_phi2_a_low_bit_of_1():
     # On |00>, phi1 must turn a party whose low bit is 0 and phi2 one whose
     # low bit is 1: only Bob turns (by pi/4) at (0, 1), only Alice at (1, 0).
     report = exact_success_probability(SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, math.pi / 4))
@@ -109,6 +109,21 @@ def test_exact_broadcasts_over_states_and_angles():
     for i, pair in enumerate(pairs):
         one = exact_success_probability(pair, AngleSet(float(phis[0, i]), float(phis[1, i])))
         assert [float(v) for v in one] == [float(field[i]) for field in batch]
+
+
+def test_outcome_table_is_bit_identical_on_floats_and_arrays():
+    # _outcome_edges reads the raw entries, not only the winning sums.
+    rng = np.random.default_rng(26)
+    chis = rng.uniform(-math.pi / 2, math.pi / 2, 50)  # both signs of alpha*beta
+    alphas, betas = np.cos(chis), np.sin(chis)
+    phis = rng.uniform(-math.pi, math.pi, size=(2, 50))
+    batch = protocol._outcome_table(alphas, betas, *phis)
+    for i in range(50):
+        one = protocol._outcome_table(float(alphas[i]), float(betas[i]),
+                                      float(phis[0, i]), float(phis[1, i]))
+        assert [[type(p) for p in row] for row in one] == [[float] * 4] * 4
+        assert [[p.hex() for p in row] for row in one] == \
+            [[float(entry[i]).hex() for entry in row] for row in batch]
 
 
 def test_epr_symmetry_across_inputs():
