@@ -7,12 +7,15 @@ it loads: the exact values, the optimizers and the classical search run in
 pure Python on Python floats, and numpy is imported inside the functions
 that sample (``monte_carlo``, ``run_batch``, ``simulate_concentration_batch``),
 return an ndarray (``rotated_amplitudes``) or are given arrays.  So
-``python -m qccsim`` loads numpy for ``simulate`` only.
+``python -m qccsim`` loads numpy for ``simulate`` only.  The command line
+starts at ``qccsim._entry:run``, as the console script and as
+``python -m qccsim``; the package itself has no ``run``.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+_FLOAT = "%.12g"  # how the command line writes a float in text reports and CSV rows
 
 _EXPORTS = {
     "state": ["SchmidtPair", "epr_state", "make_shared_state", "rotated_amplitudes"],
@@ -26,7 +29,6 @@ _EXPORTS = {
                       "simulate_concentration_batch", "simulate_concentration_run"],
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_HOME["run"] = "_entry"  # the console entry, kept from when the package imported the CLI
 _SUBMODULES = (*_EXPORTS, "cli")
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

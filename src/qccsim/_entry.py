@@ -1,9 +1,10 @@
 """Command-line surface: the parser, the one output path and ``classical``.
 
-This module imports no numpy.  ``classical`` runs here; the numeric
-subcommands live in ``qccsim.cli``, which is imported only when one of them
-runs.  That import loads no numpy either: of the subcommands, only
-``simulate`` loads numpy, inside ``monte_carlo``.
+This module imports no numpy.  ``main`` runs ``classical`` here and every
+other subcommand as ``cmd_<name>`` of ``qccsim.cli``, imported only then.
+That import loads no numpy either: of the subcommands, only ``simulate``
+loads numpy, inside ``monte_carlo``.  The sweep format lives in
+``qccsim.cli``; the JSON writer here takes record keys from ``_fields``.
 
 Subcommands:
   exact     -- per-input and total success probabilities at given angles
@@ -26,9 +27,9 @@ import math
 import re
 import sys
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
-from . import __version__, classical
+from . import _FLOAT, __version__, classical
 from .classical import MODE_SEQUENTIAL, MODE_SIMULTANEOUS
 
 # A token argparse must read as a value, not an option name: it accepts only
@@ -36,47 +37,15 @@ from .classical import MODE_SEQUENTIAL, MODE_SIMULTANEOUS
 _NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
-class SweepRecord(NamedTuple):
-    """One sweep grid point: state parameters, optimal angles, and the
-    direct (p_max) and concentrate-then-play (p_concentration) values.
-
-    The field order is the CSV column order and the JSON key order.
-    """
-
-    chi_deg: float
-    alpha: float
-    beta: float
-    epsilon: float
-    phi1: float
-    phi2: float
-    p_max: float
-    p_concentration: float
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-
-
-CSV_HEADER = ",".join(SweepRecord._fields)
-# One record as ``json.dumps(..., indent=2)`` writes it in a sweep's
-# ``records`` array, with a %s for each value (the field names are
-# identifiers, which JSON quotes as they are).
-_RECORD_JSON = "    {\n" + ",\n".join(
-    f'      "{name}": %s' for name in SweepRecord._fields) + "\n    }"
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
-
-
 def _json_pieces(doc: dict) -> Iterable[str]:
     """``json.dumps(doc, indent=2, allow_nan=False) + "\n"``, in pieces.
 
     Strict JSON: a non-finite float raises ValueError (exit 2) instead of
     printing the non-standard tokens NaN or Infinity.  A non-empty
-    ``records`` member (a sweep's SweepRecords) is written last, one
-    piece per record from ``_RECORD_JSON`` with ``float.__repr__``, which is
-    what ``json`` writes for a finite float; every value is checked first.
+    ``records`` member (NamedTuples of floats, all of one type) is written
+    last, one piece per record from a template built from its ``_fields``,
+    filled with ``float.__repr__``, which is what ``json`` writes for a
+    finite float; every value is checked first.
     """
     import json  # here, not at the top: text and CSV output never need it
 
@@ -85,8 +54,11 @@ def _json_pieces(doc: dict) -> Iterable[str]:
     records = doc.pop("records")
     if not all(map(math.isfinite, chain.from_iterable(records))):
         raise ValueError("Out of range float values are not JSON compliant")
+    # One record as ``json.dumps(..., indent=2)`` writes it in the array, with a %s per value.
+    template = "    {\n" + ",\n".join(
+        f"      {json.dumps(name)}: %s" for name in records[0]._fields) + "\n    }"
     head = json.dumps(doc, indent=2, allow_nan=False)[:-2] + ',\n  "records": [\n'
-    rows = (_RECORD_JSON % tuple(map(float.__repr__, r)) for r in records)
+    rows = (template % tuple(map(float.__repr__, r)) for r in records)
     return chain((head + next(rows),), (",\n" + row for row in rows), ("\n  ]\n}\n",))
 
 
@@ -97,7 +69,7 @@ def _write(args: argparse.Namespace, body: Callable[[], dict],
     is called.  Everything is computed and checked before ``--out`` is opened,
     then written piece by piece, so no sweep is held as one string."""
     if args.format == "json":
-        flags = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+        flags = {k: v for k, v in vars(args).items() if v is not None}
         meta = {"tool": "qccsim", "version": __version__, "command": args.command,
                 "seed": getattr(args, "seed", None), "flags": flags}
         pieces = _json_pieces({"meta": meta, **body()})
@@ -113,7 +85,7 @@ def _write(args: argparse.Namespace, body: Callable[[], dict],
 def _kv_report(fields: list[tuple[str, object]]) -> list[str]:
     lines = []
     for key, value in fields:
-        text = _fmt(value) if isinstance(value, float) else str(value)
+        text = _FLOAT % value if isinstance(value, float) else str(value)
         lines.append(f"{key} = {text}\n")
     return lines
 
@@ -127,14 +99,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
-
-
-def _numeric(name: str) -> Callable[[argparse.Namespace], int]:
-    """The subcommand ``qccsim.cli.<name>``, imported and looked up when it runs."""
-    def command(args: argparse.Namespace) -> int:
-        from . import cli  # numpy and the numeric layers load here
-        return getattr(cli, name)(args)
-    return command
 
 
 # --------------------------------------------------------------------------- classical
@@ -189,31 +153,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi2", type=_finite_float, default=0.0,
                    help="rotation for low bit 1, radians")
     add_output_flags(p, ("text", "json"), "text")
-    p.set_defaults(func=_numeric("cmd_exact"))
 
     p = sub.add_parser("optimal", help="optimal angles with numeric cross-check")
     p.add_argument("--chi", type=_finite_float, required=True, help="state angle in degrees")
     add_output_flags(p, ("text", "json"), "text")
-    p.set_defaults(func=_numeric("cmd_optimal"))
 
     p = sub.add_parser("sweep", help="theory curves over a range of states")
     p.add_argument("--chi-start", type=_finite_float, required=True, help="degrees")
     p.add_argument("--chi-end", type=_finite_float, required=True, help="degrees")
     p.add_argument("--steps", type=int, required=True)
     add_output_flags(p, ("csv", "json"), "csv")
-    p.set_defaults(func=_numeric("cmd_sweep"))
 
     p = sub.add_parser("simulate", help="Monte Carlo at the optimal angles")
     p.add_argument("--chi", type=_finite_float, required=True, help="state angle in degrees")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     add_output_flags(p, ("text", "json"), "text")
-    p.set_defaults(func=_numeric("cmd_simulate"))
 
     p = sub.add_parser("classical", help="exhaustive deterministic-protocol search")
     p.add_argument("--mode", choices=(MODE_SIMULTANEOUS, MODE_SEQUENTIAL), required=True)
     add_output_flags(p, ("text", "json"), "text")
-    p.set_defaults(func=cmd_classical)
 
     for p in (parser, *sub.choices.values()):  # no flag here looks like _NEGATIVE_VALUE
         p._negative_number_matcher = _NEGATIVE_VALUE
@@ -221,10 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "classical":
+            return cmd_classical(args)
+        from . import cli  # the numeric layers load here
+        # looked up as it runs, so a wrapper set on qccsim.cli is what runs
+        return getattr(cli, "cmd_" + args.command)(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
 """Numeric subcommands of the command line: exact, optimal, sweep, simulate.
 
 The parser, the output path, ``classical`` and ``main``/``run`` live in
-``qccsim._entry``, which looks the commands here up by name when one runs;
-``main``, ``run`` and the sweep record type are re-exported.  Importing
+``qccsim._entry``, whose ``main`` looks ``cmd_<name>`` up here when a
+command runs; ``main`` and ``run`` are re-exported.  The sweep format lives
+here, beside ``sweep_records``: ``SweepRecord``'s fields are the CSV header
+and the JSON keys, and each CSV field is written as ``%.12g``.  Importing
 this module loads every layer module (``classical`` through the entry) but
 not numpy: ``exact``, ``optimal`` and ``sweep`` run in pure Python, and
 numpy loads only inside ``monte_carlo``, when ``simulate`` runs.  Units and
@@ -14,9 +16,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from ._entry import CSV_HEADER, SweepRecord, _kv_report, _write, main, run
+from . import _FLOAT
+from ._entry import _kv_report, _write, main, run
 from .concentration import concentration_strategy_value
 from .optimize import optimal_closed_form, optimal_numeric
 from .protocol import AngleSet, closed_form_p, exact_success_probability, monte_carlo
@@ -103,6 +106,32 @@ def cmd_optimal(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- sweep
 
 
+class SweepRecord(NamedTuple):
+    """One sweep grid point: state parameters, optimal angles, and the
+    direct (p_max) and concentrate-then-play (p_concentration) values.
+
+    The field order is the CSV column order and the JSON key order.
+    """
+
+    chi_deg: float
+    alpha: float
+    beta: float
+    epsilon: float
+    phi1: float
+    phi2: float
+    p_max: float
+    p_concentration: float
+    p00: float
+    p01: float
+    p10: float
+    p11: float
+
+
+CSV_HEADER = ",".join(SweepRecord._fields)
+# One CSV row: every field as ``_kv_report`` writes a float (%-formatting takes the float of each).
+_CSV_ROW = ",".join([_FLOAT] * len(SweepRecord._fields)) + "\n"
+
+
 def sweep_records(chis: list[float]) -> list[SweepRecord]:
     """Build one record per chi (radians): optimal angles, both strategy
     values, and the per-input probabilities at the optimum."""
@@ -126,10 +155,6 @@ def sweep_records(chis: list[float]) -> list[SweepRecord]:
             p11=report.p11,
         ))
     return records
-
-
-# One CSV row: every field as ``_entry._fmt`` writes it (%-formatting takes the float of each).
-_CSV_ROW = ",".join(["%.12g"] * len(SweepRecord._fields)) + "\n"
 
 
 def _csv_lines(records: list[SweepRecord]) -> Iterator[str]:

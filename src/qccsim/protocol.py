@@ -290,7 +290,8 @@ def _input_rows(words: np.ndarray) -> np.ndarray:
     import numpy as np
 
     u64 = np.uint64
-    # One expression, so numpy reuses its temporaries in place (two fewer chunk-sized arrays).
+    # numpy reuses a temporary in place only from 256 KiB up, and a chunk of words is 128 KiB:
+    # at _CHUNK trials this peaks at three chunk-sized arrays (at 2**15 trials, at two).
     return ((words >> u64(29)) & u64(2) | (words >> u64(62)) & u64(1)).astype(np.intp)
 
 

@@ -127,3 +127,19 @@ def horodecki_bound(alpha: float, beta: float) -> float:
                      for si in _PAULIS])
     s1, s2, _ = np.linalg.svd(corr, compute_uv=False)
     return 0.5 + math.sqrt(s1 * s1 + s2 * s2) / 4.0
+
+
+def procrustean_filter(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's two-outcome filter (M0, M1) on alpha|00> + beta|11>, |beta| <= alpha.
+
+    The Procrustean method of Bennett, Bernstein, Popescu & Schumacher
+    (PRA 53, 2046 (1996)): M0 = diag(|beta|/alpha, 1) x I cuts the larger
+    Schmidt amplitude down to the smaller one, so M0 psi is maximally
+    entangled, reached with probability ||M0 psi||^2; M1 = sqrt(I - M0^T M0) x I
+    is the failing outcome.  Both act on the 4-amplitude vector (c00, c01, c10, c11).
+    """
+    local = np.diag([abs(beta) / alpha, 1.0])
+    rest = np.eye(2) - local.T @ local
+    values, vectors = np.linalg.eigh(rest)
+    return (np.kron(local, np.eye(2)),
+            np.kron(vectors @ np.diag(np.sqrt(values)) @ vectors.T, np.eye(2)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import procrustean_filter
 from qccsim.classical import baseline_protocol, run_protocol
 from qccsim.concentration import (
     EPR_ANGLES,
@@ -68,6 +69,61 @@ def test_curves_meet_at_endpoints():
         pair = pair_for_beta_sq(beta_sq)
         gap = optimal_closed_form(pair).p_max - concentration_strategy_value(pair)
         assert abs(gap) < 1e-12
+
+
+BETA_SQ_GRID = np.linspace(0.0, 0.5, 101)
+
+
+def test_procrustean_filter_is_complete():
+    for beta_sq in BETA_SQ_GRID:
+        pair = pair_for_beta_sq(float(beta_sq))
+        m0, m1 = procrustean_filter(pair.alpha, pair.beta)
+        assert np.allclose(m0.T @ m0 + m1.T @ m1, np.eye(4), rtol=0.0, atol=1e-12)
+
+
+def test_filter_success_probability_is_the_coin():
+    for beta_sq in BETA_SQ_GRID:
+        pair = pair_for_beta_sq(float(beta_sq))
+        m0, _ = procrustean_filter(pair.alpha, pair.beta)
+        filtered = m0 @ np.array([pair.alpha, 0.0, 0.0, pair.beta])
+        assert abs(filtered @ filtered - concentration_success_probability(pair)) < 1e-14
+
+
+def test_filtered_state_is_the_epr_state():
+    epr = epr_state()
+    target = np.array([epr.alpha, 0.0, 0.0, epr.beta])
+    for beta_sq in BETA_SQ_GRID[1:]:
+        pair = pair_for_beta_sq(float(beta_sq))
+        m0, _ = procrustean_filter(pair.alpha, pair.beta)
+        filtered = m0 @ np.array([pair.alpha, 0.0, 0.0, pair.beta])
+        fidelity = (target @ filtered) ** 2 / (filtered @ filtered)
+        assert abs(fidelity - 1.0) < 1e-12
+
+
+def _gap(pair: SchmidtPair) -> float:
+    return optimal_closed_form(pair).p_max - concentration_strategy_value(pair)
+
+
+def test_gap_is_exactly_zero_at_the_ends_of_the_domain():
+    assert _gap(make_shared_state(0.0)) == 0.0
+    assert _gap(make_shared_state(math.radians(-45.0))) == 0.0
+
+
+def test_gap_is_strictly_concave_in_beta_squared():
+    gaps = np.array([_gap(pair_for_beta_sq(float(b))) for b in np.linspace(0.0, 0.5, 2001)])
+    assert (np.diff(gaps, 2) < 0.0).all()
+
+
+@pytest.mark.parametrize("beta_sq, step, direct_slope", [(0.0, 1e-6, 0.5), (0.5, -1e-6, 0.0)])
+def test_slopes_at_the_ends_of_the_gap(beta_sq, step, direct_slope):
+    # d p_max / d beta^2 is 1/2 at the product state and 0 at the maximal one;
+    # concentrate-then-play rises at 2 cos^2(pi/8) - 3/2 = (sqrt 2 - 1)/2 throughout.
+    end, near = pair_for_beta_sq(beta_sq), pair_for_beta_sq(beta_sq + step)
+    run = near.beta ** 2 - end.beta ** 2
+    direct = (optimal_closed_form(near).p_max - optimal_closed_form(end).p_max) / run
+    concentrated = (concentration_strategy_value(near) - concentration_strategy_value(end)) / run
+    assert abs(direct - direct_slope) < 1e-5
+    assert abs(concentrated - (math.sqrt(2.0) - 1.0) / 2.0) < 1e-9
 
 
 def test_coin_draws_one_uniform_then_one_per_measurement():

@@ -12,6 +12,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -105,16 +106,25 @@ record = st.builds(cli.SweepRecord, *[finite] * len(cli.SweepRecord._fields))
 def _write_sweep(records, out=None):
     """``cli._write`` as ``cmd_sweep`` calls it with --format json; returns stdout."""
     args = argparse.Namespace(command="sweep", chi_start=-45.0, chi_end=0.0, steps=len(records),
-                              format="json", out=out, func=cli.cmd_sweep)
+                              format="json", out=out)
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         cli._write(args, lambda: {"records": records}, lambda: pytest.fail("CSV rendered"))
     return buffer.getvalue()
 
 
+class OtherRecord(NamedTuple):
+    """A record type with other field names; json writes the first one escaped."""
+
+    χ: float
+    weight: float
+
+
 @PROPERTY
-@given(records=st.lists(record, max_size=6))
+@given(records=st.one_of(st.lists(record, max_size=6),
+                         st.lists(st.builds(OtherRecord, finite, finite), max_size=6)))
 @example(records=[cli.SweepRecord(*SPECIAL[:len(cli.SweepRecord._fields)])])
+@example(records=[OtherRecord(-0.0, 5e-324), OtherRecord(1e22, -2.0)])
 def test_sweep_json_renders_as_json_dumps(records):
     meta = {"tool": "qccsim", "version": __version__, "command": "sweep", "seed": None,
             "flags": {"command": "sweep", "chi_start": -45.0, "chi_end": 0.0,
