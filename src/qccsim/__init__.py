@@ -5,9 +5,9 @@ The public names below are loaded on first use (PEP 562); ``qccsim.state``
 and the other submodules load the same way.  No module imports numpy when
 it loads: the exact values, the optimizers and the classical search run in
 pure Python on Python floats, and numpy is imported inside the functions
-that sample (``monte_carlo``, ``run_batch``, ``simulate_concentration_batch``),
-return an ndarray (``rotated_amplitudes``) or are given arrays.  So
-``python -m qccsim`` loads numpy for ``simulate`` only.  The command line
+that sample (``monte_carlo``, ``run_batch``, ``simulate_concentration_batch``)
+or return an ndarray (``rotated_amplitudes``).  So ``python -m qccsim``
+loads numpy for ``simulate`` only.  The command line
 starts at ``qccsim._entry:run``, as the console script and as
 ``python -m qccsim``; the package itself has no ``run``.
 """

@@ -27,7 +27,7 @@ import math
 from typing import NamedTuple
 
 from .protocol import AngleSet, _row_coefficients, closed_form_p
-from .state import SchmidtPair
+from .state import SchmidtPair, _require_finite
 
 ACOS_CLAMP_TOL = 1e-9
 GRID_STEPS = 256  # optimal_numeric's scan is GRID_STEPS x GRID_STEPS
@@ -64,7 +64,8 @@ def optimal_closed_form(pair: SchmidtPair) -> AngleSolution:
     p_max = 1/2 + (1/4) sqrt(1 + 4 alpha^2 beta^2), attained at
     phi1 = -(1/4) arccos((1 + 2ab - t) / (1 - 2ab)) and
     phi2 =  (1/4) arccos((1 + 2ab + t) / (1 - 2ab)) with ab = alpha*beta.
-    Arguments drifting past +-1 by at most 1e-9 are clamped.
+    Arguments drifting past +-1 by at most 1e-9 are clamped, and non-finite
+    amplitudes raise ValueError.
 
     Pairs with alpha*beta > 0 are rejected.  There, both parties sharing one
     angle pair reach only the classical 3/4 (``optimal_numeric`` returns 3/4
@@ -73,6 +74,7 @@ def optimal_closed_form(pair: SchmidtPair) -> AngleSolution:
     (alpha, -beta): Z on Bob's qubit flips the sign of beta, and
     Z R(t) Z = R(-t).
     """
+    _require_finite(pair.alpha, pair.beta)
     ab = pair.alpha * pair.beta
     if ab > 0.0:
         raise ValueError("closed-form optimum requires alpha*beta <= 0 (for alpha*beta > 0, shared"
@@ -93,16 +95,16 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
     has period pi in each angle), then refines the best grid point by
     REFINE_ITERS rounds of compass search with a halving step.  Deterministic:
     grid ties resolve to the lexicographically smallest (phi1, phi2).
+    Non-finite amplitudes raise ValueError before the scan.
 
     The scan runs in pure Python on per-axis cos, sin and squared-sin lists.
     Each row takes its factors from ``protocol._row_coefficients`` and each
-    cell is ``protocol._closed_form``'s last line, so every cell has the bits
-    ``closed_form_p`` gives it on arrays (squares as products, as numpy
-    squares an array).  Rows and column blocks whose bound (see the module
-    docstring) plus 1e-12 (1 + |alpha*beta|) is below the best cell so far
-    are skipped, which leaves the first maximum in row-major order that of
-    the full scan.  A NaN bound never skips.
+    cell is ``protocol._closed_form``'s last line, with squared sines as
+    products.  Rows and column blocks whose bound (see the module docstring)
+    plus 1e-12 (1 + |alpha*beta|) is below the best cell so far are skipped,
+    which leaves the first maximum in row-major order that of the full scan.
     """
+    _require_finite(pair.alpha, pair.beta)
     grid = [-0.5 * math.pi + math.pi * i / GRID_STEPS for i in range(GRID_STEPS)]
     ab = pair.alpha * pair.beta
     cos = [math.cos(2.0 * phi) for phi in grid]
@@ -115,7 +117,6 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
         blocks.append((j, cells, min(c2), max(c2), min(s2), max(s2), min(sq2), max(sq2)))
     # The bounds' margin, far above their and the cells' rounding (~1e-15 (1 + |ab|)).
     slack = 1e-12 * (1.0 + abs(ab))
-    # A NaN alpha*beta never beats -inf; the refinement's closed_form_p then refuses it.
     best, phi1, phi2 = -math.inf, grid[0], grid[0]
     for i, (c1, s1, sq1) in enumerate(axis):
         a, b, q = _row_coefficients(ab, c1, s1)
@@ -139,7 +140,7 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
             moved = False
             inner += 1
             for d1, d2 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                cand = float(closed_form_p(pair, AngleSet(phi1 + d1, phi2 + d2)))
+                cand = closed_form_p(pair, AngleSet(phi1 + d1, phi2 + d2))
                 if cand > best:
                     best, phi1, phi2 = cand, phi1 + d1, phi2 + d2
                     moved = True

@@ -14,9 +14,9 @@ x0 AND y0.  High bits therefore cancel out of the success probability; only
 (x0, y0) matters.
 
 The exact values (``exact_success_probability``, ``closed_form_p`` and the
-CDF edges behind ``run_once``) run in pure Python on Python numbers and
-broadcast on numpy arrays; numpy is imported only by the functions that
-take or return arrays, and by the samplers that draw from a generator.
+CDF edges behind ``run_once``) run in pure Python on Python numbers; numpy
+is imported only by the batched samplers ``run_batch`` and ``monte_carlo``
+and their helpers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .classical import _target
-from .state import SchmidtPair, _rotate
+from .state import SchmidtPair, _require_finite, _rotate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -115,34 +115,14 @@ def target_function(inputs: InputPair) -> int:
     return _target(inputs.x, inputs.y)
 
 
-def _functions(*values):
-    """``(cos, sin, values)`` for the arithmetic below, which runs on either kind of number.
-
-    math's cos and sin when every value is a Python number; otherwise
-    numpy's, with the values as float arrays broadcast against each other.
-    Raises ValueError if a value is not finite.
-    """
-    if all(isinstance(v, (int, float)) for v in values):
-        cos, sin, finite = math.cos, math.sin, math.isfinite
-    else:
-        import numpy as np
-
-        values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
-        cos, sin, finite = np.cos, np.sin, lambda v: bool(np.isfinite(v).all())
-    if not all(map(finite, values)):
-        raise ValueError("amplitudes and rotation angles must be finite")
-    return cos, sin, values
-
-
-def _outcome_table(alpha, beta, phi1, phi2) -> list[tuple]:
+def _outcome_table(alpha: float, beta: float, phi1: float, phi2: float) -> list[tuple]:
     """Born probabilities ``table[2*x0 + y0][outcome]``, outcomes in basis order.
 
-    Each party turns by phi1 on a low bit of 0 and by phi2 on 1.  Floats in,
-    floats out; arrays broadcast (see ``_functions``).  A non-finite argument
-    raises ValueError.
+    Each party turns by phi1 on a low bit of 0 and by phi2 on 1.  A
+    non-finite argument raises ValueError.
     """
-    cos, sin, (alpha, beta, phi1, phi2) = _functions(alpha, beta, phi1, phi2)
-    trig = ((cos(phi1), sin(phi1)), (cos(phi2), sin(phi2)))  # indexed by the low bit
+    _require_finite(alpha, beta, phi1, phi2)
+    trig = ((math.cos(phi1), math.sin(phi1)), (math.cos(phi2), math.sin(phi2)))  # by low bit
     table = []
     for ca, sa in trig:  # x0
         for cb, sb in trig:  # y0
@@ -182,9 +162,8 @@ def exact_success_probability(pair: SchmidtPair, angles: AngleSet) -> PerInputRe
     """All four per-input success probabilities and their uniform average.
 
     Inputs are uniform, so (x0, y0) is uniform over the four combinations;
-    the high bits never affect success (they cancel in the XOR).  The fields
-    of ``pair`` and ``angles`` may be numpy arrays, and the report's fields
-    then broadcast over them.
+    the high bits never affect success (they cancel in the XOR).  A
+    non-finite field raises ValueError.
     """
     p00, p01, p10, p11 = _wins(_outcome_table(pair.alpha, pair.beta, angles.phi1, angles.phi2))
     return PerInputReport(p00, p01, p10, p11, (p00 + p01 + p10 + p11) / 4.0)
@@ -200,25 +179,24 @@ def _closed_form(ab, c1, s1, sq1, c2, s2, sq2):
 
     p = 1/2 + a cos 2phi2 + b sin 2phi2 + q (sin^2 2phi2 - sin^2 2phi1), with
     a = cos(2phi1)/4, b = alpha*beta sin(2phi1)/2 and q = (1 - 2 alpha*beta)/8
-    from ``_row_coefficients``.  Arithmetic only, evaluated left to right, so
-    it runs on Python floats and broadcasts on arrays with the same bits.
+    from ``_row_coefficients``; evaluated left to right.
     ``optimize.optimal_numeric`` evaluates the last line inline per grid cell.
     """
     a, b, q = _row_coefficients(ab, c1, s1)
     return 0.5 + a * c2 + b * s2 + q * (sq2 - sq1)
 
 
-def closed_form_p(pair: SchmidtPair, angles: AngleSet) -> float | np.ndarray:
+def closed_form_p(pair: SchmidtPair, angles: AngleSet) -> float:
     """Total success probability of the strategy, in closed form.
 
-    Depends on the state only through alpha*beta.  Elementwise like
-    ``exact_success_probability``: the fields of ``pair`` and ``angles`` may
-    be numpy arrays, and the result then broadcasts over them.  A non-finite
-    field raises ValueError.
+    Depends on the state only through alpha*beta.  A non-finite field raises
+    ValueError.
     """
-    cos, sin, (alpha, beta, phi1, phi2) = _functions(pair.alpha, pair.beta, *angles)
-    s1, s2 = sin(2.0 * phi1), sin(2.0 * phi2)
-    return _closed_form(alpha * beta, cos(2.0 * phi1), s1, s1**2, cos(2.0 * phi2), s2, s2**2)
+    phi1, phi2 = angles
+    _require_finite(pair.alpha, pair.beta, phi1, phi2)
+    s1, s2 = math.sin(2.0 * phi1), math.sin(2.0 * phi2)
+    return _closed_form(pair.alpha * pair.beta, math.cos(2.0 * phi1), s1, s1**2,
+                        math.cos(2.0 * phi2), s2, s2**2)
 
 
 def run_once(

@@ -84,6 +84,13 @@ def epr_state() -> SchmidtPair:
     return SchmidtPair(s, -s, EPR_CHI)
 
 
+def _require_finite(*values: float) -> None:
+    """Raise ValueError unless every value is finite (the exact layer's one input check)."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError("amplitudes and rotation angles must be finite")
+
+
 def _rotate(alpha, beta, ca, sa, cb, sb):
     """Amplitudes (c00, c01, c10, c11) of R(phi_a) x R(phi_b) on alpha|00> + beta|11>.
 

@@ -143,3 +143,24 @@ def procrustean_filter(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarra
     values, vectors = np.linalg.eigh(rest)
     return (np.kron(local, np.eye(2)),
             np.kron(vectors @ np.diag(np.sqrt(values)) @ vectors.T, np.eye(2)))
+
+
+def schmidt_coefficients(amplitudes) -> np.ndarray:
+    """Squared Schmidt coefficients of a two-qubit pure state, largest first.
+
+    They are the eigenvalues of Alice's reduced density matrix
+    rho_A = C C^T, where C[a, b] is the amplitude of |ab>.
+    """
+    c = np.asarray(amplitudes, dtype=float).reshape(2, 2)
+    return np.sort(np.linalg.eigvalsh(c @ c.T))[::-1]
+
+
+def vidal_bound(source, target) -> float:
+    """Largest probability of converting ``source`` into ``target`` by LOCC, on a single copy.
+
+    Vidal (PRL 83, 1046 (1999)): the minimum over l of E_l(source) / E_l(target),
+    where E_l sums the squared Schmidt coefficients from the l-th largest on.
+    Both states are 4-amplitude vectors.
+    """
+    lam, mu = schmidt_coefficients(source), schmidt_coefficients(target)
+    return float(min(lam[l:].sum() / mu[l:].sum() for l in range(len(lam))))

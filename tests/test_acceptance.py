@@ -20,7 +20,7 @@ from qccsim.protocol import (
     monte_carlo,
 )
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-from oracles import brute_force_total
+from oracles import brute_force_total, procrustean_filter, vidal_bound
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 SLOPE = 2.0 * COS2_PI8 - 1.5
@@ -104,11 +104,22 @@ def test_c06_zero_entanglement_limit():
 
 
 def test_c07_concentration_strategy_is_dominated():
-    from qccsim.concentration import concentration_strategy_value
+    """The distillation coin is checked against two oracles: the Procrustean
+    filter's success probability (Bennett et al., PRA 53, 2046 (1996)) and
+    Vidal's single-copy conversion bound to the EPR pair (PRL 83, 1046 (1999))."""
+    from qccsim.concentration import (concentration_strategy_value,
+                                      concentration_success_probability)
 
+    epr = epr_state()
+    target = [epr.alpha, 0.0, 0.0, epr.beta]
     ok = True
     for beta_sq in np.linspace(0.0, 0.5, 101):
         pair = SchmidtPair.from_amplitudes(math.sqrt(1.0 - beta_sq), -math.sqrt(beta_sq))
+        psi = np.array([pair.alpha, 0.0, 0.0, pair.beta])
+        filtered = procrustean_filter(pair.alpha, pair.beta)[0] @ psi
+        coin = concentration_success_probability(pair)
+        ok &= abs(filtered @ filtered - coin) < 1e-14
+        ok &= abs(vidal_bound(psi, target) - coin) < 1e-14
         direct = optimal_closed_form(pair).p_max
         concentrated = concentration_strategy_value(pair)
         ok &= concentrated <= direct + 1e-12

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import procrustean_filter
+from oracles import kron_rotate, procrustean_filter, vidal_bound
 from qccsim.classical import baseline_protocol, run_protocol
 from qccsim.concentration import (
     EPR_ANGLES,
@@ -98,6 +98,29 @@ def test_filtered_state_is_the_epr_state():
         filtered = m0 @ np.array([pair.alpha, 0.0, 0.0, pair.beta])
         fidelity = (target @ filtered) ** 2 / (filtered @ filtered)
         assert abs(fidelity - 1.0) < 1e-12
+
+
+def test_vidal_bound_is_the_coin():
+    # The bound depends only on the Schmidt coefficients, so local rotations,
+    # which make the reduced density matrix non-diagonal, leave it unchanged.
+    epr = epr_state()
+    target = [epr.alpha, 0.0, 0.0, epr.beta]
+    for beta_sq in BETA_SQ_GRID:
+        pair = pair_for_beta_sq(float(beta_sq))
+        coin = concentration_success_probability(pair)
+        for angles in ((0.0, 0.0), (0.3, -1.1)):
+            source = kron_rotate([pair.alpha, 0.0, 0.0, pair.beta], *angles)
+            assert abs(vidal_bound(source, target) - coin) < 1e-14
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_non_finite_beta_is_refused(beta):
+    pair = SchmidtPair(0.8, beta, 0.0)  # built raw, bypassing the normalization check
+    for evaluate in (concentration_success_probability, concentration_strategy_value):
+        with pytest.raises(ValueError, match="^amplitudes and rotation angles must be finite$"):
+            evaluate(pair)
+    with pytest.raises(ValueError):
+        simulate_concentration_run(pair, InputPair(0, 0), np.random.default_rng(0))
 
 
 def _gap(pair: SchmidtPair) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qccsim.optimize import GRID_STEPS, REFINE_ITERS, optimal_closed_form, optimal_numeric
-from qccsim.protocol import AngleSet, closed_form_p
+from qccsim.protocol import AngleSet, _closed_form, closed_form_p
 from qccsim.state import SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
 from oracles import horodecki_bound
 
@@ -87,10 +87,15 @@ def test_numeric_matches_closed_form():
 
 
 def _numpy_scan_optimum(pair):
-    """``optimal_numeric`` as a numpy broadcast scan: closed_form_p over the
-    whole grid, its first argmax, then the same compass refinement."""
+    """``optimal_numeric`` as a numpy broadcast scan: the closed form over the
+    whole grid, its first argmax, then the same compass refinement.
+
+    The grid takes numpy's cos and sin and squares them as products.
+    """
     grid = -0.5 * math.pi + math.pi * np.arange(GRID_STEPS) / GRID_STEPS
-    values = closed_form_p(pair, AngleSet(grid[:, None], grid[None, :]))  # [phi1, phi2]
+    c, s = np.cos(2.0 * grid), np.sin(2.0 * grid)
+    row, col = (c[:, None], s[:, None], (s * s)[:, None]), (c, s, s * s)
+    values = _closed_form(pair.alpha * pair.beta, *row, *col)  # [phi1, phi2]
     flat = int(np.argmax(values))
     phi1, phi2 = float(grid[flat // GRID_STEPS]), float(grid[flat % GRID_STEPS])
     best = float(values.flat[flat])
@@ -100,7 +105,7 @@ def _numpy_scan_optimum(pair):
         while moved and inner < 100:
             moved, inner = False, inner + 1
             for d1, d2 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                cand = float(closed_form_p(pair, AngleSet(phi1 + d1, phi2 + d2)))
+                cand = closed_form_p(pair, AngleSet(phi1 + d1, phi2 + d2))
                 if cand > best:
                     best, phi1, phi2, moved = cand, phi1 + d1, phi2 + d2, True
         step *= 0.5
@@ -144,8 +149,9 @@ def test_numeric_scan_equals_numpy_broadcast_scan(pair):
 @pytest.mark.parametrize("alpha,beta", [(math.nan, -0.5), (0.8, math.nan), (math.inf, -0.5),
                                         (0.8, -math.inf), (math.inf, math.inf)])
 def test_numeric_refuses_non_finite_amplitudes(alpha, beta):
-    with pytest.raises(ValueError, match="^amplitudes and rotation angles must be finite$"):
-        optimal_numeric(SchmidtPair(alpha, beta, 0.0))
+    for optimize in (optimal_closed_form, optimal_numeric):
+        with pytest.raises(ValueError, match="^amplitudes and rotation angles must be finite$"):
+            optimize(SchmidtPair(alpha, beta, 0.0))
 
 
 def test_numeric_endpoint_values():
