@@ -1,7 +1,9 @@
-"""Command-line surface: the parser, the one output path and ``classical``.
+"""Command-line surface: the parser, the one output path, ``classical`` and ``main``.
 
 This module imports no numpy.  ``main`` runs ``classical`` here and every
 other subcommand as ``cmd_<name>`` of ``qccsim.cli``, imported only then.
+Each ``cmd_<name>`` passes ``_write`` values and returns nothing: ``main``
+alone turns the outcome, a return or an exception, into the exit code.
 That import loads no numpy either: of the subcommands, only ``simulate``
 loads numpy, inside ``monte_carlo``.  The sweep format lives in
 ``qccsim.cli``; the JSON writer here takes record keys from ``_fields``.
@@ -17,7 +19,7 @@ Units: --chi/--chi-start/--chi-end are degrees (the canonical range is
 -45..0); --phi1/--phi2 and all angles in output are radians.  Exit codes:
 0 success, 1 the output file cannot be written or the request does not fit
 in memory (``sweep --steps 1000000000000000``), 2 usage or domain error,
-3 internal consistency failure.
+3 internal consistency failure, reported after the result is written.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import re
 import sys
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from . import _FLOAT, __version__, classical
 from .classical import MODE_SEQUENTIAL, MODE_SIMULTANEOUS
@@ -35,6 +37,10 @@ from .classical import MODE_SEQUENTIAL, MODE_SIMULTANEOUS
 # A token argparse must read as a value, not an option name: it accepts only
 # -12 and -1.5 as negative numbers, so -1e-05 and -inf would be refused.
 _NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+class ConsistencyError(Exception):
+    """A written result failed its own cross-check (exit 3)."""
 
 
 def _json_pieces(doc: dict) -> Iterable[str]:
@@ -62,19 +68,18 @@ def _json_pieces(doc: dict) -> Iterable[str]:
     return chain((head + next(rows),), (",\n" + row for row in rows), ("\n  ]\n}\n",))
 
 
-def _write(args: argparse.Namespace, body: Callable[[], dict],
-           text: Callable[[], Iterable[str]]) -> None:
-    """Write one result to ``--out`` (default stdout): ``{"meta": ..., **body()}``
-    with ``--format json``, else the pieces of ``text()``; only the chosen one
-    is called.  Everything is computed and checked before ``--out`` is opened,
-    then written piece by piece, so no sweep is held as one string."""
+def _write(args: argparse.Namespace, body: dict, text: Iterable[str]) -> None:
+    """Write one result to ``--out`` (default stdout): ``{"meta": ..., **body}``
+    with ``--format json``, else the pieces of ``text``, iterated only then.
+    Everything is computed and checked before ``--out`` is opened, then
+    written piece by piece, so no sweep is held as one string."""
     if args.format == "json":
         flags = {k: v for k, v in vars(args).items() if v is not None}
         meta = {"tool": "qccsim", "version": __version__, "command": args.command,
                 "seed": getattr(args, "seed", None), "flags": flags}
-        pieces = _json_pieces({"meta": meta, **body()})
+        pieces = _json_pieces({"meta": meta, **body})
     else:
-        pieces = text()
+        pieces = text
     if args.out is None:
         sys.stdout.writelines(pieces)
     else:
@@ -82,12 +87,10 @@ def _write(args: argparse.Namespace, body: Callable[[], dict],
             handle.writelines(pieces)
 
 
-def _kv_report(fields: list[tuple[str, object]]) -> list[str]:
-    lines = []
+def _kv_report(fields: list[tuple[str, object]]) -> Iterator[str]:
     for key, value in fields:
         text = _FLOAT % value if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {text}\n")
-    return lines
+        yield f"{key} = {text}\n"
 
 
 def _finite_float(text: str) -> float:
@@ -104,7 +107,7 @@ def _finite_float(text: str) -> float:
 # --------------------------------------------------------------------------- classical
 
 
-def cmd_classical(args: argparse.Namespace) -> int:
+def cmd_classical(args: argparse.Namespace) -> None:
     result = classical.enumerate_best(args.mode)
     tables = {name: getattr(result.witness, name)
               for name in ("msg_alice", "msg_bob", "out_alice", "out_bob")}
@@ -123,8 +126,7 @@ def cmd_classical(args: argparse.Namespace) -> int:
         ("protocols_examined", result.protocols_examined),
         *((f"witness_{name}", "".join(map(str, table))) for name, table in tables.items()),
     ]
-    _write(args, lambda: {"record": record}, lambda: _kv_report(fields))
-    return 0
+    _write(args, {"record": record}, _kv_report(fields))
 
 
 # --------------------------------------------------------------------------- parser
@@ -183,16 +185,21 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "classical":
-            return cmd_classical(args)
-        from . import cli  # the numeric layers load here
-        # looked up as it runs, so a wrapper set on qccsim.cli is what runs
-        return getattr(cli, "cmd_" + args.command)(args)
+            cmd_classical(args)
+        else:
+            from . import cli  # the numeric layers load here
+            # looked up as it runs, so a wrapper set on qccsim.cli is what runs
+            getattr(cli, "cmd_" + args.command)(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # MemoryError() is blank
         return 1
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def run() -> None:

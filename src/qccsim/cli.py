@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import argparse
 import math
-import sys
 from typing import Iterator, NamedTuple
 
 from . import _FLOAT
-from ._entry import _kv_report, _write, main, run
+from ._entry import ConsistencyError, _kv_report, _write, main, run
 from .concentration import concentration_strategy_value
 from .optimize import optimal_closed_form, optimal_numeric
 from .protocol import AngleSet, closed_form_p, exact_success_probability, monte_carlo
@@ -50,7 +49,7 @@ def _pair_from_flags(chi_deg: float | None, alpha: float | None, beta: float | N
 # --------------------------------------------------------------------------- exact
 
 
-def cmd_exact(args: argparse.Namespace) -> int:
+def cmd_exact(args: argparse.Namespace) -> None:
     pair = _pair_from_flags(args.chi, args.alpha, args.beta)
     angles = AngleSet(args.phi1, args.phi2)
     report = exact_success_probability(pair, angles)
@@ -69,14 +68,13 @@ def cmd_exact(args: argparse.Namespace) -> int:
         ("closed_form", closed),
         ("difference", abs(report.total - closed)),
     ]
-    _write(args, lambda: {"record": dict(fields)}, lambda: _kv_report(fields))
-    return 0
+    _write(args, {"record": dict(fields)}, _kv_report(fields))
 
 
 # --------------------------------------------------------------------------- optimal
 
 
-def cmd_optimal(args: argparse.Namespace) -> int:
+def cmd_optimal(args: argparse.Namespace) -> None:
     pair = make_shared_state(math.radians(args.chi))
     sol = optimal_closed_form(pair)
     numeric = optimal_numeric(pair)
@@ -92,15 +90,10 @@ def cmd_optimal(args: argparse.Namespace) -> int:
         ("numeric_p_max", numeric.p_max),
         ("discrepancy", discrepancy),
     ]
-    _write(args, lambda: {"record": dict(fields)}, lambda: _kv_report(fields))
+    _write(args, {"record": dict(fields)}, _kv_report(fields))
     if discrepancy > OPTIMAL_DISCREPANCY_LIMIT:
-        print(
-            f"error: closed-form/numeric discrepancy {discrepancy:.3e} exceeds "
-            f"{OPTIMAL_DISCREPANCY_LIMIT:.0e}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+        raise ConsistencyError(f"closed-form/numeric discrepancy {discrepancy:.3e} exceeds "
+                               f"{OPTIMAL_DISCREPANCY_LIMIT:.0e}")
 
 
 # --------------------------------------------------------------------------- sweep
@@ -188,19 +181,18 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return grid
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     if args.steps < 2:
         raise ValueError("--steps must be >= 2")
     chis = _linspace(math.radians(args.chi_start), math.radians(args.chi_end), args.steps)
     records = sweep_records(chis)
-    _write(args, lambda: {"records": records}, lambda: _csv_lines(records))
-    return 0
+    _write(args, {"records": records}, _csv_lines(records))
 
 
 # --------------------------------------------------------------------------- simulate
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> None:
     pair = make_shared_state(math.radians(args.chi))
     sol = optimal_closed_form(pair)
     result = monte_carlo(pair, AngleSet(sol.phi1, sol.phi2), args.trials, args.seed)
@@ -229,6 +221,5 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         per_input_counts={k: list(v) for k, v in tallies.items()},
     )
     per_input = [(f"per_input {k}", f"{s}/{n}") for k, (s, n) in tallies.items()]
-    _write(args, lambda: {"record": record}, lambda: _kv_report(fields + per_input))
-    return 0
+    _write(args, {"record": record}, _kv_report(fields + per_input))
 

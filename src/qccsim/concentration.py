@@ -29,9 +29,9 @@ def concentration_success_probability(pair: SchmidtPair) -> float:
     """Probability 2*beta^2 of distilling the pair to the maximal state.
 
     Clipped into [0, 1] to absorb roundoff at beta^2 = 1/2.  A non-finite
-    beta raises ValueError.
+    beta^2 raises ValueError.
     """
-    _require_finite(pair.beta)
+    _require_finite(pair.beta * pair.beta)
     return min(1.0, 2.0 * pair.beta * pair.beta)
 
 
@@ -40,10 +40,10 @@ def concentration_strategy_value(pair: SchmidtPair) -> float:
 
     3/4 + (2 cos^2(pi/8) - 3/2) * beta^2, the mixture of the entangled value
     on distillation success and the classical baseline on failure.  A
-    non-finite beta raises ValueError.
+    non-finite beta^2 raises ValueError.
     """
-    _require_finite(pair.beta)
     beta_sq = pair.beta * pair.beta
+    _require_finite(beta_sq)
     return CLASSICAL_BASELINE_VALUE + (2.0 * EPR_STRATEGY_VALUE - 1.5) * beta_sq
 
 

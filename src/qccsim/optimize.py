@@ -64,8 +64,8 @@ def optimal_closed_form(pair: SchmidtPair) -> AngleSolution:
     p_max = 1/2 + (1/4) sqrt(1 + 4 alpha^2 beta^2), attained at
     phi1 = -(1/4) arccos((1 + 2ab - t) / (1 - 2ab)) and
     phi2 =  (1/4) arccos((1 + 2ab + t) / (1 - 2ab)) with ab = alpha*beta.
-    Arguments drifting past +-1 by at most 1e-9 are clamped, and non-finite
-    amplitudes raise ValueError.
+    Arguments drifting past +-1 by at most 1e-9 are clamped.  Amplitudes
+    giving a non-finite sqrt(1 + 4 alpha^2 beta^2) raise ValueError.
 
     Pairs with alpha*beta > 0 are rejected.  There, both parties sharing one
     angle pair reach only the classical 3/4 (``optimal_numeric`` returns 3/4
@@ -74,13 +74,13 @@ def optimal_closed_form(pair: SchmidtPair) -> AngleSolution:
     (alpha, -beta): Z on Bob's qubit flips the sign of beta, and
     Z R(t) Z = R(-t).
     """
-    _require_finite(pair.alpha, pair.beta)
     ab = pair.alpha * pair.beta
+    root = math.sqrt(1.0 + 4.0 * ab * ab)
+    _require_finite(root)
     if ab > 0.0:
         raise ValueError("closed-form optimum requires alpha*beta <= 0 (for alpha*beta > 0, shared"
                          " angles reach only 3/4; Bob on (-phi1, -phi2) with the angles of"
                          " (alpha, -beta) reaches p_max)")
-    root = math.sqrt(1.0 + 4.0 * ab * ab)
     t = 4.0 * ab / root
     den = 1.0 - 2.0 * ab
     phi1 = -0.25 * _clamped_acos((1.0 + 2.0 * ab - t) / den)
@@ -95,7 +95,7 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
     has period pi in each angle), then refines the best grid point by
     REFINE_ITERS rounds of compass search with a halving step.  Deterministic:
     grid ties resolve to the lexicographically smallest (phi1, phi2).
-    Non-finite amplitudes raise ValueError before the scan.
+    A non-finite alpha^2 + beta^2 raises ValueError before the scan.
 
     The scan runs in pure Python on per-axis cos, sin and squared-sin lists.
     Each row takes its factors from ``protocol._row_coefficients`` and each
@@ -104,7 +104,7 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
     plus 1e-12 (1 + |alpha*beta|) is below the best cell so far are skipped,
     which leaves the first maximum in row-major order that of the full scan.
     """
-    _require_finite(pair.alpha, pair.beta)
+    _require_finite(pair.alpha * pair.alpha + pair.beta * pair.beta)
     grid = [-0.5 * math.pi + math.pi * i / GRID_STEPS for i in range(GRID_STEPS)]
     ab = pair.alpha * pair.beta
     cos = [math.cos(2.0 * phi) for phi in grid]

@@ -119,9 +119,9 @@ def _outcome_table(alpha: float, beta: float, phi1: float, phi2: float) -> list[
     """Born probabilities ``table[2*x0 + y0][outcome]``, outcomes in basis order.
 
     Each party turns by phi1 on a low bit of 0 and by phi2 on 1.  A
-    non-finite argument raises ValueError.
+    non-finite angle or alpha^2 + beta^2 raises ValueError.
     """
-    _require_finite(alpha, beta, phi1, phi2)
+    _require_finite(alpha * alpha + beta * beta, phi1, phi2)
     trig = ((math.cos(phi1), math.sin(phi1)), (math.cos(phi2), math.sin(phi2)))  # by low bit
     table = []
     for ca, sa in trig:  # x0
@@ -163,7 +163,7 @@ def exact_success_probability(pair: SchmidtPair, angles: AngleSet) -> PerInputRe
 
     Inputs are uniform, so (x0, y0) is uniform over the four combinations;
     the high bits never affect success (they cancel in the XOR).  A
-    non-finite field raises ValueError.
+    non-finite angle or alpha^2 + beta^2 raises ValueError.
     """
     p00, p01, p10, p11 = _wins(_outcome_table(pair.alpha, pair.beta, angles.phi1, angles.phi2))
     return PerInputReport(p00, p01, p10, p11, (p00 + p01 + p10 + p11) / 4.0)
@@ -189,11 +189,11 @@ def _closed_form(ab, c1, s1, sq1, c2, s2, sq2):
 def closed_form_p(pair: SchmidtPair, angles: AngleSet) -> float:
     """Total success probability of the strategy, in closed form.
 
-    Depends on the state only through alpha*beta.  A non-finite field raises
-    ValueError.
+    Depends on the state only through alpha*beta.  A non-finite angle or
+    alpha^2 + beta^2 raises ValueError.
     """
     phi1, phi2 = angles
-    _require_finite(pair.alpha, pair.beta, phi1, phi2)
+    _require_finite(pair.alpha * pair.alpha + pair.beta * pair.beta, phi1, phi2)
     s1, s2 = math.sin(2.0 * phi1), math.sin(2.0 * phi2)
     return _closed_form(pair.alpha * pair.beta, math.cos(2.0 * phi1), s1, s1**2,
                         math.cos(2.0 * phi2), s2, s2**2)

@@ -85,7 +85,8 @@ def epr_state() -> SchmidtPair:
 
 
 def _require_finite(*values: float) -> None:
-    """Raise ValueError unless every value is finite (the exact layer's one input check)."""
+    """Raise ValueError unless every value is finite (the exact layer's one input check);
+    callers pass the products they form, such as alpha^2 + beta^2, so overflow fails too."""
     for value in values:
         if not math.isfinite(value):
             raise ValueError("amplitudes and rotation angles must be finite")

@@ -98,7 +98,14 @@ def test_exact_rejects_out_of_domain_chi(capsys):
     assert "(10 deg)" in err and "[-45, 0] deg" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan"])
+def test_exact_rejects_unnormalized_amplitudes(capsys):
+    # alpha^2 + beta^2 = 0.89 is past the tolerance; without the check it would renormalize
+    code, out, err = run_cli(["exact", "--alpha", "0.8", "--beta", "-0.5"], capsys)
+    assert (code, out) == (2, "")
+    assert "amplitudes not normalized" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan", "abc"])
 def test_exact_rejects_non_finite_angles(value, capsys):
     for flag in ("--phi1", "--phi2"):
         for given in ([f"{flag}={value}"], [flag, value]):
@@ -160,10 +167,22 @@ def test_optimal_rejects_out_of_domain(capsys):
 
 
 def test_optimal_flags_numeric_regression(capsys, monkeypatch):
+    # the full report, carrying the faulty numeric_p_max, comes first; then one error line
+    argv = ["optimal", "--chi", "-45", "--format"]
+    text = run_cli(argv + ["text"], capsys)[1]
+    doc = json.loads(run_cli(argv + ["json"], capsys)[1])
+    discrepancy = doc["record"]["p_max"] - 0.5
+    doc["record"].update(numeric_p_max=0.5, discrepancy=discrepancy)
+    text = "".join(text.splitlines(True)[:7]) + (
+        f"numeric_p_max = 0.5\ndiscrepancy = {discrepancy:.12g}\n")
+    assert list(parse_kv(text)) == list(doc["record"]) == [
+        "chi_deg", "alpha", "beta", "phi1", "phi2", "t", "p_max", "numeric_p_max", "discrepancy"]
     monkeypatch.setattr(cli, "optimal_numeric", lambda pair: AngleSolution(0.0, 0.0, 0.0, 0.5))
-    code, _, err = run_cli(["optimal", "--chi", "-45"], capsys)
-    assert code == 3
-    assert "discrepancy" in err
+    for fmt, want in (("text", text), ("json", doc)):
+        code, out, err = run_cli(argv + [fmt], capsys)
+        assert code == 3
+        assert (out if fmt == "text" else json.loads(out)) == want
+        assert err == f"error: closed-form/numeric discrepancy {discrepancy:.3e} exceeds 1e-06\n"
 
 
 # --- sweep -------------------------------------------------------------------

@@ -103,13 +103,19 @@ finite = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_in
 record = st.builds(cli.SweepRecord, *[finite] * len(cli.SweepRecord._fields))
 
 
+def _no_csv():
+    """Text pieces that fail the test if ``_write`` iterates them."""
+    pytest.fail("CSV rendered")
+    yield
+
+
 def _write_sweep(records, out=None):
     """``cli._write`` as ``cmd_sweep`` calls it with --format json; returns stdout."""
     args = argparse.Namespace(command="sweep", chi_start=-45.0, chi_end=0.0, steps=len(records),
                               format="json", out=out)
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        cli._write(args, lambda: {"records": records}, lambda: pytest.fail("CSV rendered"))
+        cli._write(args, {"records": records}, _no_csv())
     return buffer.getvalue()
 
 

@@ -16,7 +16,8 @@ from qccsim.protocol import (
     run_once,
     target_function,
 )
-from qccsim.optimize import optimal_closed_form
+from qccsim.concentration import concentration_strategy_value, concentration_success_probability
+from qccsim.optimize import optimal_closed_form, optimal_numeric
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
 from oracles import brute_force_total, success_probability_full_input
 
@@ -100,6 +101,25 @@ def test_closed_form_rejects_non_finite_inputs(field, bad, numpy_scalar):
     for evaluate in (closed_form_p, exact_success_probability):
         with pytest.raises(ValueError, match="^amplitudes and rotation angles must be finite$"):
             evaluate(pair, angles)
+
+
+# Finite raw amplitudes (built bypassing the normalization check) whose products overflow.
+HUGE, LARGE = SchmidtPair(1e200, -1e200, 0.0), SchmidtPair(1e80, -1e80, 0.0)
+
+
+@pytest.mark.parametrize("evaluate,pair", [
+    (lambda pair: closed_form_p(pair, AngleSet(0.1, 0.2)), HUGE),
+    (lambda pair: exact_success_probability(pair, AngleSet(0.1, 0.2)), HUGE),
+    (optimal_closed_form, HUGE),
+    (optimal_closed_form, LARGE),  # only 4 alpha^2 beta^2 overflows
+    (optimal_numeric, HUGE),
+    (concentration_strategy_value, HUGE),
+    (concentration_success_probability, HUGE),
+], ids=["closed_form_p", "exact", "closed_form_huge", "closed_form_large", "numeric",
+        "concentration_value", "concentration_coin"])
+def test_overflowing_amplitudes_are_rejected(evaluate, pair):
+    with pytest.raises(ValueError, match="^amplitudes and rotation angles must be finite$"):
+        evaluate(pair)
 
 
 def test_epr_symmetry_across_inputs():
