@@ -15,7 +15,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .protocol import AngleSet, InputPair, Transcript, run_batch, run_once
-from .state import SchmidtPair, _require_finite, epr_state
+from .state import SchmidtPair, epr_state
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,10 +28,8 @@ EPR_ANGLES = AngleSet(-math.pi / 16, 3.0 * math.pi / 16)
 def concentration_success_probability(pair: SchmidtPair) -> float:
     """Probability 2*beta^2 of distilling the pair to the maximal state.
 
-    Clipped into [0, 1] to absorb roundoff at beta^2 = 1/2.  A non-finite
-    beta^2 raises ValueError.
+    Clipped into [0, 1] to absorb roundoff at beta^2 = 1/2.
     """
-    _require_finite(pair.beta * pair.beta)
     return min(1.0, 2.0 * pair.beta * pair.beta)
 
 
@@ -39,12 +37,9 @@ def concentration_strategy_value(pair: SchmidtPair) -> float:
     """Expected success probability of concentrate-then-play.
 
     3/4 + (2 cos^2(pi/8) - 3/2) * beta^2, the mixture of the entangled value
-    on distillation success and the classical baseline on failure.  A
-    non-finite beta^2 raises ValueError.
+    on distillation success and the classical baseline on failure.
     """
-    beta_sq = pair.beta * pair.beta
-    _require_finite(beta_sq)
-    return CLASSICAL_BASELINE_VALUE + (2.0 * EPR_STRATEGY_VALUE - 1.5) * beta_sq
+    return CLASSICAL_BASELINE_VALUE + (2.0 * EPR_STRATEGY_VALUE - 1.5) * (pair.beta * pair.beta)
 
 
 def simulate_concentration_run(

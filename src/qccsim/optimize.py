@@ -11,14 +11,17 @@ On a row of fixed phi1 the objective is
 
     1/2 + a cos 2phi2 + b sin 2phi2 + q (sin^2 2phi2 - sin^2 2phi1),
 
-which no phi2 lifts above 1/2 + hypot(a, b) + max(q, 0) - q sin^2 2phi1.
-On a block of SCAN_BLOCK consecutive columns each term is bounded on its own
-by the block's range of cos 2phi2, sin 2phi2 and sin^2 2phi2.  A row, or a
-block of a row, whose bound plus a margin far above the rounding of either
-side lies below the best cell so far is skipped.  Each of its cells is below
-the best, so the full scan would not take it either; a block that holds a new
-maximum is never skipped, and its first maximum is the row's.  The result,
-ties included, is therefore the full scan's first maximum in row-major order.
+which no phi2 lifts above 1/2 + hypot(a, b) + q - q sin^2 2phi1: a pair is
+normalized to NORM_TOL, so |alpha*beta| <= (1 + NORM_TOL)/2, q >= -NORM_TOL/8
+and q sin^2 2phi2 <= q errs by at most NORM_TOL/8 = 1.25e-13.  On a block of
+SCAN_BLOCK consecutive columns each term is bounded on its own by the block's
+range of cos 2phi2 and sin 2phi2, and the q term by q times its largest
+sin^2 2phi2, with the same error.  A row, or a block of a row, whose bound
+plus a margin far above that error and the rounding of either side lies below
+the best cell so far is skipped.  Each of its cells is below the best, so
+the full scan would not take it either; a block that holds a new maximum is
+never skipped, and its first maximum is the row's.  The result, ties
+included, is therefore the full scan's first maximum in row-major order.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 from typing import NamedTuple
 
 from .protocol import AngleSet, _row_coefficients, closed_form_p
-from .state import SchmidtPair, _require_finite
+from .state import SchmidtPair
 
 ACOS_CLAMP_TOL = 1e-9
 GRID_STEPS = 256  # optimal_numeric's scan is GRID_STEPS x GRID_STEPS
@@ -64,8 +67,7 @@ def optimal_closed_form(pair: SchmidtPair) -> AngleSolution:
     p_max = 1/2 + (1/4) sqrt(1 + 4 alpha^2 beta^2), attained at
     phi1 = -(1/4) arccos((1 + 2ab - t) / (1 - 2ab)) and
     phi2 =  (1/4) arccos((1 + 2ab + t) / (1 - 2ab)) with ab = alpha*beta.
-    Arguments drifting past +-1 by at most 1e-9 are clamped.  Amplitudes
-    giving a non-finite sqrt(1 + 4 alpha^2 beta^2) raise ValueError.
+    Arguments drifting past +-1 by at most 1e-9 are clamped.
 
     Pairs with alpha*beta > 0 are rejected.  There, both parties sharing one
     angle pair reach only the classical 3/4 (``optimal_numeric`` returns 3/4
@@ -76,7 +78,6 @@ def optimal_closed_form(pair: SchmidtPair) -> AngleSolution:
     """
     ab = pair.alpha * pair.beta
     root = math.sqrt(1.0 + 4.0 * ab * ab)
-    _require_finite(root)
     if ab > 0.0:
         raise ValueError("closed-form optimum requires alpha*beta <= 0 (for alpha*beta > 0, shared"
                          " angles reach only 3/4; Bob on (-phi1, -phi2) with the angles of"
@@ -95,7 +96,6 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
     has period pi in each angle), then refines the best grid point by
     REFINE_ITERS rounds of compass search with a halving step.  Deterministic:
     grid ties resolve to the lexicographically smallest (phi1, phi2).
-    A non-finite alpha^2 + beta^2 raises ValueError before the scan.
 
     The scan runs in pure Python on per-axis cos, sin and squared-sin lists.
     Each row takes its factors from ``protocol._row_coefficients`` and each
@@ -104,27 +104,26 @@ def optimal_numeric(pair: SchmidtPair) -> AngleSolution:
     plus 1e-12 (1 + |alpha*beta|) is below the best cell so far are skipped,
     which leaves the first maximum in row-major order that of the full scan.
     """
-    _require_finite(pair.alpha * pair.alpha + pair.beta * pair.beta)
     grid = [-0.5 * math.pi + math.pi * i / GRID_STEPS for i in range(GRID_STEPS)]
     ab = pair.alpha * pair.beta
     cos = [math.cos(2.0 * phi) for phi in grid]
     sin = [math.sin(2.0 * phi) for phi in grid]
     axis = list(zip(cos, sin, [s * s for s in sin]))
-    blocks = []  # (first column, its cells, then the range of cos, sin and squared sin over them)
+    blocks = []  # (first column, its cells, the range of cos and sin over them, the largest sin^2)
     for j in range(0, GRID_STEPS, SCAN_BLOCK):
         cells = axis[j:j + SCAN_BLOCK]
         c2, s2, sq2 = zip(*cells)
-        blocks.append((j, cells, min(c2), max(c2), min(s2), max(s2), min(sq2), max(sq2)))
-    # The bounds' margin, far above their and the cells' rounding (~1e-15 (1 + |ab|)).
+        blocks.append((j, cells, min(c2), max(c2), min(s2), max(s2), max(sq2)))
+    # The bounds' margin, far above their shortfall at q < 0 and the rounding (~1e-15 (1 + |ab|)).
     slack = 1e-12 * (1.0 + abs(ab))
     best, phi1, phi2 = -math.inf, grid[0], grid[0]
     for i, (c1, s1, sq1) in enumerate(axis):
         a, b, q = _row_coefficients(ab, c1, s1)
         base = 0.5 - q * sq1 + slack
-        if base + math.hypot(a, b) + max(q, 0.0) < best:
+        if base + math.hypot(a, b) + q < best:
             continue
-        for j, cells, c_lo, c_hi, s_lo, s_hi, sq_lo, sq_hi in blocks:
-            lift = max(a * c_lo, a * c_hi) + max(b * s_lo, b * s_hi) + max(q * sq_lo, q * sq_hi)
+        for j, cells, c_lo, c_hi, s_lo, s_hi, sq_hi in blocks:
+            lift = max(a * c_lo, a * c_hi) + max(b * s_lo, b * s_hi) + q * sq_hi
             if base + lift < best:
                 continue
             values = [0.5 + a * c2 + b * s2 + q * (sq2 - sq1) for c2, s2, sq2 in cells]

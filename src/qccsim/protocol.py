@@ -27,7 +27,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .classical import _target
-from .state import SchmidtPair, _require_finite, _rotate
+from .state import SchmidtPair, _rotate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,11 +56,22 @@ class InputPair(NamedTuple):
         return self.y & 1
 
 
-class AngleSet(NamedTuple):
-    """Strategy angles: phi1 when a party's low bit is 0, phi2 when it is 1."""
+class AngleSet(NamedTuple("AngleSet", [("phi1", float), ("phi2", float)])):
+    """Strategy angles: phi1 when a party's low bit is 0, phi2 when it is 1.
 
-    phi1: float
-    phi2: float
+    However the set is built, a non-finite angle raises ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, phi1: float, phi2: float) -> "AngleSet":
+        if not (math.isfinite(phi1) and math.isfinite(phi2)):
+            raise ValueError("rotation angles must be finite")
+        return super().__new__(cls, phi1, phi2)
+
+    @classmethod
+    def _make(cls, iterable) -> "AngleSet":
+        return cls(*iterable)  # so that _replace checks too
 
 
 class Transcript(NamedTuple):
@@ -118,10 +129,8 @@ def target_function(inputs: InputPair) -> int:
 def _outcome_table(alpha: float, beta: float, phi1: float, phi2: float) -> list[tuple]:
     """Born probabilities ``table[2*x0 + y0][outcome]``, outcomes in basis order.
 
-    Each party turns by phi1 on a low bit of 0 and by phi2 on 1.  A
-    non-finite angle or alpha^2 + beta^2 raises ValueError.
+    Each party turns by phi1 on a low bit of 0 and by phi2 on 1.
     """
-    _require_finite(alpha * alpha + beta * beta, phi1, phi2)
     trig = ((math.cos(phi1), math.sin(phi1)), (math.cos(phi2), math.sin(phi2)))  # by low bit
     table = []
     for ca, sa in trig:  # x0
@@ -162,8 +171,7 @@ def exact_success_probability(pair: SchmidtPair, angles: AngleSet) -> PerInputRe
     """All four per-input success probabilities and their uniform average.
 
     Inputs are uniform, so (x0, y0) is uniform over the four combinations;
-    the high bits never affect success (they cancel in the XOR).  A
-    non-finite angle or alpha^2 + beta^2 raises ValueError.
+    the high bits never affect success (they cancel in the XOR).
     """
     p00, p01, p10, p11 = _wins(_outcome_table(pair.alpha, pair.beta, angles.phi1, angles.phi2))
     return PerInputReport(p00, p01, p10, p11, (p00 + p01 + p10 + p11) / 4.0)
@@ -189,11 +197,9 @@ def _closed_form(ab, c1, s1, sq1, c2, s2, sq2):
 def closed_form_p(pair: SchmidtPair, angles: AngleSet) -> float:
     """Total success probability of the strategy, in closed form.
 
-    Depends on the state only through alpha*beta.  A non-finite angle or
-    alpha^2 + beta^2 raises ValueError.
+    Depends on the state only through alpha*beta.
     """
     phi1, phi2 = angles
-    _require_finite(pair.alpha * pair.alpha + pair.beta * pair.beta, phi1, phi2)
     s1, s2 = math.sin(2.0 * phi1), math.sin(2.0 * phi2)
     return _closed_form(pair.alpha * pair.beta, math.cos(2.0 * phi1), s1, s1**2,
                         math.cos(2.0 * phi2), s2, s2**2)

@@ -35,28 +35,33 @@ CHI_DOMAIN_TOL = 1e-12
 EPR_CHI = -math.pi / 4
 
 
-class SchmidtPair(NamedTuple):
+class SchmidtPair(NamedTuple("SchmidtPair", [("alpha", float), ("beta", float), ("chi", float)])):
     """Amplitudes (alpha, beta) of the shared state alpha|00> + beta|11>.
 
     ``chi`` is the angle parameterization with alpha = cos(chi) and
-    beta = sin(chi); it is carried along for reporting.
+    beta = sin(chi); it is carried along for reporting.  However a pair is
+    built, alpha^2 + beta^2 off 1 by more than NORM_TOL raises ValueError.
     """
 
-    alpha: float
-    beta: float
-    chi: float
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, beta: float, chi: float) -> "SchmidtPair":
+        norm = alpha * alpha + beta * beta
+        if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN or infinite norm fails too
+            raise ValueError(f"amplitudes not normalized: alpha^2+beta^2 = {norm!r}")
+        return super().__new__(cls, alpha, beta, chi)
+
+    @classmethod
+    def _make(cls, iterable) -> "SchmidtPair":
+        return cls(*iterable)  # so that _replace checks too
 
     @classmethod
     def from_amplitudes(cls, alpha: float, beta: float) -> "SchmidtPair":
         """Build a pair from raw amplitudes without the canonical-domain check.
 
         Accepts any normalized (alpha, beta), including beta > 0 and
-        |beta| > |alpha|; used for property tests and exploration.  Raises
-        ValueError if alpha^2 + beta^2 deviates from 1 by more than NORM_TOL.
+        |beta| > |alpha|; used for property tests and exploration.
         """
-        norm = alpha * alpha + beta * beta
-        if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails too
-            raise ValueError(f"amplitudes not normalized: alpha^2+beta^2 = {norm!r}")
         return cls(alpha, beta, math.atan2(beta, alpha))
 
 
@@ -78,18 +83,12 @@ def make_shared_state(chi: float) -> SchmidtPair:
     return SchmidtPair(math.cos(chi), min(math.sin(chi), 0.0), chi)
 
 
+_EPR = SchmidtPair(math.sqrt(0.5), -math.sqrt(0.5), EPR_CHI)
+
+
 def epr_state() -> SchmidtPair:
     """The maximally entangled pair (|00> - |11>)/sqrt(2), i.e. chi = -pi/4."""
-    s = math.sqrt(0.5)
-    return SchmidtPair(s, -s, EPR_CHI)
-
-
-def _require_finite(*values: float) -> None:
-    """Raise ValueError unless every value is finite (the exact layer's one input check);
-    callers pass the products they form, such as alpha^2 + beta^2, so overflow fails too."""
-    for value in values:
-        if not math.isfinite(value):
-            raise ValueError("amplitudes and rotation angles must be finite")
+    return _EPR
 
 
 def _rotate(alpha, beta, ca, sa, cb, sb):

@@ -9,84 +9,25 @@ the measured bits (a, b) of the first 256 seeded
 (a, b, success) of the first 256 seeded ``simulate_concentration_run`` rounds
 at three states (one digit 4*a + 2*b + success per round), and seeded
 ``monte_carlo`` tallies.  Any change to the arithmetic, the draw order or
-the formatting shows up here.
+the formatting shows up here.  The CLI calls and their comparison live in
+``tests/golden_cli.py``, which also checks the numpy-free ones on its own.
 Regenerate, only for an intended output change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import contextlib
-import hashlib
-import io
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 
-from qccsim import cli
+from golden_cli import GOLDEN, capture_cli, mismatches
 from qccsim.concentration import simulate_concentration_run
 from qccsim.optimize import optimal_closed_form
 from qccsim.protocol import AngleSet, InputPair, monte_carlo, run_once
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
 
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
 EPR_ANGLES = AngleSet(-math.pi / 16, 3 * math.pi / 16)
-
-CLI_CALLS = [
-    ["exact", "--chi", "-45", "--phi1", "-0.19635", "--phi2", "0.58905"],
-    ["exact", "--chi", "-22.5", "--phi1", "0.1", "--phi2", "-0.2", "--format", "json"],
-    ["exact", "--alpha", "0.8", "--beta", "-0.6", "--phi1", "0.3", "--phi2", "0.7"],
-    ["exact", "--alpha", "0.8", "--beta", "-0.6", "--phi1", "0.3", "--phi2", "0.7",
-     "--format", "json"],
-    ["optimal", "--chi", "-30"],
-    ["optimal", "--chi", "-45", "--format", "json"],
-    ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "31"],
-    ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "31", "--format", "json"],
-    ["simulate", "--chi", "-30", "--trials", "10000", "--seed", "7"],
-    ["simulate", "--chi", "-30", "--trials", "10000", "--seed", "7", "--format", "json"],
-    ["classical", "--mode", "simultaneous"],
-    ["classical", "--mode", "sequential", "--format", "json"],
-    # unbounded z_score: "inf" in text, null in JSON
-    ["simulate", "--chi", "0", "--trials", "1"],
-    ["simulate", "--chi", "0", "--trials", "1", "--format", "json"],
-    ["classical", "--mode", "sequential"],
-    ["classical", "--mode", "simultaneous", "--format", "json"],
-    # hand-typed amplitudes, renormalized before use
-    ["exact", "--alpha", "0.92388", "--beta", "-0.38268"],
-    ["optimal", "--chi", "0"],
-    # refused: exit code 2, empty stdout
-    ["exact", "--alpha", "0.8", "--beta", "0.6"],
-    ["simulate", "--chi", "0", "--trials", "0"],
-    # more trials than one monte_carlo chunk
-    ["simulate", "--chi", "-30", "--trials", "1000000", "--seed", "7"],
-    ["simulate", "--chi", "-30", "--trials", "1000000", "--seed", "7", "--format", "json"],
-    # the smallest sweep
-    ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2", "--format", "json"],
-    # chi just above 0, inside make_shared_state's tolerance
-    ["exact", "--chi", "1e-13"],
-    ["optimal", "--chi", "1e-13"],
-    ["simulate", "--chi", "1e-13", "--trials", "10"],
-    ["sweep", "--chi-start", "-45", "--chi-end", "1e-11", "--steps", "3"],
-]
-
-# pinned by exit code and stdout sha256 only
-CLI_HASHED_CALLS = [
-    ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2001"],
-    ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2001", "--format", "json"],
-]
-
-# run as ``python -m qccsim`` in a fresh interpreter, pinned with stderr too
-CLI_SUBPROCESS_CALLS = [
-    ["--help"],
-    *([command, "--help"] for command in ("exact", "optimal", "sweep", "simulate", "classical")),
-    # refused by argparse: exit code 2, usage on stderr
-    ["exact", "--chi", "-30", "--phi1", "nan"],
-]
 
 
 def _rounds(pair, angles, seed, n=256):
@@ -116,39 +57,12 @@ def _counts(pair, angles, trials, seed):
     return {f"{x0}{y0}": list(n) for (x0, y0), n in sorted(result.per_input_counts.items())}
 
 
-def _call(argv):
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        code = cli.main(argv)
-    return code, buffer.getvalue()
-
-
-def _subprocess_call(argv):
-    env = dict(os.environ, COLUMNS="80")  # argparse wraps help text to the terminal width
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "qccsim", *argv], capture_output=True, text=True,
-                          env=env, cwd=ROOT, timeout=120)
-    return {"code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
-
-
 def capture() -> dict:
-    cli_out = {}
-    for argv in CLI_CALLS:
-        code, out = _call(argv)
-        cli_out[" ".join(argv)] = {"code": code, "stdout": out}
-    cli_hashed = {}
-    for argv in CLI_HASHED_CALLS:
-        code, out = _call(argv)
-        cli_hashed[" ".join(argv)] = {
-            "code": code, "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
-    cli_subprocess = {" ".join(argv): _subprocess_call(argv) for argv in CLI_SUBPROCESS_CALLS}
     partial = make_shared_state(-math.pi / 8)
     sol = optimal_closed_form(partial)
     partial_angles = AngleSet(sol.phi1, sol.phi2)
     return {
-        "cli": cli_out,
-        "cli_sha256": cli_hashed,
-        "cli_subprocess": cli_subprocess,
+        **capture_cli(),
         "run_once": {
             "epr": _rounds(epr_state(), EPR_ANGLES, 404),
             "chi=-pi/8": _rounds(partial, partial_angles, 405),
@@ -188,13 +102,10 @@ def capture() -> dict:
 def test_outputs_match_golden():
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = capture()
-    assert got["cli"].keys() == want["cli"].keys()
-    for call, record in want["cli"].items():
-        assert got["cli"][call] == record, call
-    assert got["cli_sha256"] == want["cli_sha256"]
-    assert got["cli_subprocess"].keys() == want["cli_subprocess"].keys()
-    for call, record in want["cli_subprocess"].items():
-        assert got["cli_subprocess"][call] == record, call
+    cli_sections = {section: got[section] for section in ("cli", "cli_sha256", "cli_subprocess")}
+    for section, records in cli_sections.items():
+        assert records.keys() == want[section].keys(), section
+    assert mismatches(want, cli_sections) == []
     assert got["run_once"] == want["run_once"]
     assert got["concentration"] == want["concentration"]
     assert got["monte_carlo"] == want["monte_carlo"]

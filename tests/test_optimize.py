@@ -5,7 +5,7 @@ import pytest
 
 from qccsim.optimize import GRID_STEPS, REFINE_ITERS, optimal_closed_form, optimal_numeric
 from qccsim.protocol import AngleSet, _closed_form, closed_form_p
-from qccsim.state import SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
+from qccsim.state import NORM_TOL, SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
 from oracles import horodecki_bound
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
@@ -117,14 +117,14 @@ _SCAN_CHIS = CHI_GRID + np.random.default_rng(41).uniform(-math.pi / 4, math.pi 
 # States where the scan's pruning bound is tight or degenerate: at chi = 0 the
 # sin 2phi2 factor is 0 and every row ties; the EPR state has alpha*beta = -1/2;
 # at alpha*beta = +1/2 the squared-sin factor (1 - 2 alpha*beta)/8 is 0, or
-# just below 0 where the product rounds up; an unnormalized pair, which the
-# scan takes as it is, makes that factor clearly negative.
+# just below 0 where the product rounds up, and most negative, near
+# -NORM_TOL/8, at alpha = beta on the edge of the normalization tolerance.
 _SCAN_EDGES = {
     "product": SchmidtPair(1.0, 0.0, 0.0),
     "epr": epr_state(),
     "ab=+1/2": SchmidtPair.from_amplitudes(0.7071067811865476, 0.7071067811865475),
     "ab=+1/2+ulp": SchmidtPair.from_amplitudes(math.sqrt(0.5), math.sqrt(0.5)),
-    "ab=6": SchmidtPair(3.0, 2.0, 0.0),
+    "ab=(1+tol)/2": SchmidtPair(*[math.sqrt((1.0 + 0.999e-12) / 2.0)] * 2, 0.0),
 }
 _SCAN_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c), c), id=str(c))
                for c in _SCAN_CHIS]
@@ -137,7 +137,7 @@ def test_scan_edges_are_as_named():
     assert ab["epr"] == -0.5000000000000001
     assert ab["ab=+1/2"] == 0.5 and 1.0 - 2.0 * ab["ab=+1/2"] == 0.0
     assert 1.0 - 2.0 * ab["ab=+1/2+ulp"] < 0.0
-    assert ab["ab=6"] == 6.0
+    assert -NORM_TOL / 8.0 <= (1.0 - 2.0 * ab["ab=(1+tol)/2"]) / 8.0 < -0.99 * NORM_TOL / 8.0
 
 
 @pytest.mark.parametrize("pair", _SCAN_PAIRS)
@@ -149,9 +149,9 @@ def test_numeric_scan_equals_numpy_broadcast_scan(pair):
 @pytest.mark.parametrize("alpha,beta", [(math.nan, -0.5), (0.8, math.nan), (math.inf, -0.5),
                                         (0.8, -math.inf), (math.inf, math.inf)])
 def test_numeric_refuses_non_finite_amplitudes(alpha, beta):
-    for optimize in (optimal_closed_form, optimal_numeric):
-        with pytest.raises(ValueError, match="^amplitudes and rotation angles must be finite$"):
-            optimize(SchmidtPair(alpha, beta, 0.0))
+    # The pair refuses them when it is built, so neither optimizer ever sees them.
+    with pytest.raises(ValueError, match="^amplitudes not normalized: "):
+        SchmidtPair(alpha, beta, 0.0)
 
 
 def test_numeric_endpoint_values():

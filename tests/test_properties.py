@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import math
+import pickle
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -21,7 +22,14 @@ from hypothesis import strategies as st
 
 from qccsim import __version__, cli
 from qccsim.protocol import AngleSet, exact_success_probability
-from qccsim.state import CHI_DOMAIN_TOL, make_shared_state, rotated_amplitudes
+from qccsim.state import (
+    CHI_DOMAIN_TOL,
+    NORM_TOL,
+    SchmidtPair,
+    epr_state,
+    make_shared_state,
+    rotated_amplitudes,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -188,3 +196,47 @@ def test_exact_success_probability_has_period_pi_in_each_angle(chi, phi1, phi2):
     base = exact_success_probability(pair, AngleSet(phi1, phi2))
     for shifted in (AngleSet(phi1 + math.pi, phi2), AngleSet(phi1, phi2 - math.pi)):
         assert np.allclose(exact_success_probability(pair, shifted), base, rtol=0, atol=1e-12)
+
+
+# --- the value types check themselves when built ----------------------------
+
+
+@PROPERTY
+@given(chi=st.floats(-math.pi / 4 - CHI_DOMAIN_TOL, CHI_DOMAIN_TOL),
+       t=st.floats(allow_nan=False, allow_infinity=False))
+def test_built_pairs_are_normalized(chi, t):
+    for pair in (make_shared_state(chi), SchmidtPair.from_amplitudes(math.cos(t), math.sin(t)),
+                 epr_state()):
+        assert abs(pair.alpha * pair.alpha + pair.beta * pair.beta - 1.0) <= NORM_TOL
+        assert pickle.loads(pickle.dumps(pair)) == pair  # unpickling builds it again
+
+
+@PROPERTY
+@given(alpha=st.floats(), beta=st.floats())  # NaN and infinities included
+@example(alpha=0.9, beta=-0.9)  # was accepted raw, with optimal_closed_form p_max 0.976
+@example(alpha=1e150, beta=-1e-150)  # was accepted raw, with p_max 1.059
+@example(alpha=math.nan, beta=0.0)
+@example(alpha=math.sqrt(0.5), beta=-math.inf)
+def test_pairs_off_the_unit_circle_are_refused(alpha, beta):
+    assume(not abs(alpha * alpha + beta * beta - 1.0) <= NORM_TOL)
+    valid = epr_state()
+    for build in (lambda: SchmidtPair(alpha, beta, 0.0),
+                  lambda: SchmidtPair._make([alpha, beta, 0.0]),
+                  lambda: valid._replace(alpha=alpha, beta=beta),
+                  lambda: SchmidtPair.from_amplitudes(alpha, beta)):
+        with pytest.raises(ValueError, match="^amplitudes not normalized: "):
+            build()
+
+
+@PROPERTY
+@given(phi=angle, bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       field=st.sampled_from(AngleSet._fields), numpy_scalar=st.booleans())
+def test_angle_sets_refuse_non_finite_angles(phi, bad, field, numpy_scalar):
+    if numpy_scalar:
+        phi, bad = np.float64(phi), np.float64(bad)
+    values = {"phi1": phi, "phi2": phi, field: bad}
+    for build in (lambda: AngleSet(**values),
+                  lambda: AngleSet._make(values.values()),
+                  lambda: AngleSet(phi, phi)._replace(**{field: bad})):
+        with pytest.raises(ValueError, match="^rotation angles must be finite$"):
+            build()

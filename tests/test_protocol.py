@@ -70,22 +70,20 @@ def test_per_input_success_unrotated_product_state():
     assert exact_success_probability(SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, 0.0)).p11 == 0.0
 
 
+# Raw fields, not built values: a pair or angle set refuses them when it is built,
+# so no evaluation (exact, closed form, run_once, monte_carlo) ever sees them.
 @pytest.mark.parametrize(
     "pair,angles",
     [
-        (SchmidtPair(1.0, 0.0, 0.0), AngleSet(math.nan, 0.0)),
-        (SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, math.inf)),
-        (SchmidtPair(1.0, 0.0, 0.0), AngleSet(-math.inf, 0.0)),
-        (SchmidtPair(math.nan, 0.0, 0.0), AngleSet(0.1, 0.2)),  # built raw, bypassing the check
+        ((1.0, 0.0, 0.0), (math.nan, 0.0)),
+        ((1.0, 0.0, 0.0), (0.0, math.inf)),
+        ((1.0, 0.0, 0.0), (-math.inf, 0.0)),
+        ((math.nan, 0.0, 0.0), (0.1, 0.2)),
     ],
 )
 def test_non_finite_inputs_are_rejected(pair, angles):
     with pytest.raises(ValueError):
-        exact_success_probability(pair, angles)
-    with pytest.raises(ValueError):
-        monte_carlo(pair, angles, 10, 1)
-    with pytest.raises(ValueError):
-        run_once(pair, angles, InputPair(0, 0), np.random.default_rng(0))
+        exact_success_probability(SchmidtPair(*pair), AngleSet(*angles))
 
 
 @pytest.mark.parametrize("field", range(4))  # alpha, beta, phi1, phi2
@@ -97,14 +95,14 @@ def test_closed_form_rejects_non_finite_inputs(field, bad, numpy_scalar):
     values[field] = bad
     if numpy_scalar:
         values = [np.float64(v) for v in values]
-    pair, angles = SchmidtPair(*values[:2], 0.0), AngleSet(*values[2:])
-    for evaluate in (closed_form_p, exact_success_probability):
-        with pytest.raises(ValueError, match="^amplitudes and rotation angles must be finite$"):
-            evaluate(pair, angles)
+    message = "^amplitudes not normalized: " if field < 2 else "^rotation angles must be finite$"
+    with pytest.raises(ValueError, match=message):
+        closed_form_p(SchmidtPair(*values[:2], 0.0), AngleSet(*values[2:]))
 
 
-# Finite raw amplitudes (built bypassing the normalization check) whose products overflow.
-HUGE, LARGE = SchmidtPair(1e200, -1e200, 0.0), SchmidtPair(1e80, -1e80, 0.0)
+# Finite raw amplitudes whose products overflow.  The pair refuses them when it
+# is built, so none of the evaluations below ever receives them.
+HUGE, LARGE = (1e200, -1e200, 0.0), (1e80, -1e80, 0.0)
 
 
 @pytest.mark.parametrize("evaluate,pair", [
@@ -118,8 +116,8 @@ HUGE, LARGE = SchmidtPair(1e200, -1e200, 0.0), SchmidtPair(1e80, -1e80, 0.0)
 ], ids=["closed_form_p", "exact", "closed_form_huge", "closed_form_large", "numeric",
         "concentration_value", "concentration_coin"])
 def test_overflowing_amplitudes_are_rejected(evaluate, pair):
-    with pytest.raises(ValueError, match="^amplitudes and rotation angles must be finite$"):
-        evaluate(pair)
+    with pytest.raises(ValueError, match="^amplitudes not normalized: "):
+        evaluate(SchmidtPair(*pair))
 
 
 def test_epr_symmetry_across_inputs():
