@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from qccsim import SchmidtPair, concentration_strategy_value, simulate_concentration_batch
+from qccsim import InputPair, SchmidtPair, concentration_strategy_value, simulate_concentration_run
 from qccsim.optimize import optimal_closed_form
 
 
@@ -28,9 +28,9 @@ def main():
     # Sampled sanity check at beta^2 = 1/4.
     pair = SchmidtPair.from_amplitudes(math.sqrt(0.75), -0.5)
     rng = np.random.default_rng(7)
-    runs = 200_000
-    xy = rng.integers(0, 4, size=(runs, 2))
-    wins = int(simulate_concentration_batch(pair, xy[:, 0], xy[:, 1], rng)[2].sum())
+    runs = 20_000
+    wins = sum(simulate_concentration_run(pair, InputPair(x, y), rng).success
+               for x, y in rng.integers(0, 4, size=(runs, 2)).tolist())
     print()
     print(f"beta^2 = 1/4, {runs} sampled rounds: {wins / runs:.4f}"
           f"  (expected {concentration_strategy_value(pair):.4f})")

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from qccsim import AngleSet, InputPair, epr_state, run_batch, run_once, target_function
+from qccsim import AngleSet, InputPair, epr_state, monte_carlo, run_once, target_function
 
 OPTIMAL_ANGLES = AngleSet(-math.pi / 16, 3 * math.pi / 16)
 
@@ -33,12 +33,11 @@ def main():
                 f" {'success' if t.success else 'failure'}"
             )
 
-    # Longer run, all rounds at once: the success rate approaches cos^2(pi/8) ~ 0.8536.
+    # Longer run, sampled in bulk: the success rate approaches cos^2(pi/8) ~ 0.8536.
     runs = 200_000
-    xy = rng.integers(0, 4, size=(runs, 2))
-    wins = int(run_batch(pair, OPTIMAL_ANGLES, xy[:, 0], xy[:, 1], rng)[2].sum())
+    result = monte_carlo(pair, OPTIMAL_ANGLES, runs, seed=2024)
     print()
-    print(f"{runs} sampled rounds: success rate {wins / runs:.4f}"
+    print(f"{runs} sampled rounds: success rate {result.estimate:.4f}"
           f"  (cos^2(pi/8) = {math.cos(math.pi / 8) ** 2:.4f})")
 
 

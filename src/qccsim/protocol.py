@@ -15,8 +15,7 @@ x0 AND y0.  High bits therefore cancel out of the success probability; only
 
 The exact values (``exact_success_probability``, ``closed_form_p`` and the
 CDF edges behind ``run_once``) run in pure Python on Python numbers; numpy
-is imported only by the batched samplers ``run_batch`` and ``monte_carlo``
-and their helpers.
+is imported only by the vectorized sampler ``monte_carlo`` and its helpers.
 """
 
 from __future__ import annotations
@@ -24,6 +23,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .classical import _target
@@ -33,11 +34,27 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class InputPair(NamedTuple):
-    """Classical inputs x, y, each in {0, 1, 2, 3} with bits (high, low)."""
+class InputPair(NamedTuple("InputPair", [("x", int), ("y", int)])):
+    """Classical inputs x, y, each in {0, 1, 2, 3} with bits (high, low).
 
-    x: int
-    y: int
+    However the pair is built, an input that is not an integer in 0..3
+    raises ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int) -> "InputPair":
+        try:
+            valid = 0 <= operator.index(x) <= 3 and 0 <= operator.index(y) <= 3
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"inputs must be integers in 0..3, got x = {x!r}, y = {y!r}")
+        return super().__new__(cls, x, y)
+
+    @classmethod
+    def _make(cls, iterable) -> "InputPair":
+        return cls(*iterable)  # so that _replace checks too
 
     @property
     def x1(self) -> int:
@@ -56,10 +73,15 @@ class InputPair(NamedTuple):
         return self.y & 1
 
 
+# closed_form_p doubles each angle, and the double must stay finite.
+_MAX_ANGLE = sys.float_info.max / 2
+
+
 class AngleSet(NamedTuple("AngleSet", [("phi1", float), ("phi2", float)])):
     """Strategy angles: phi1 when a party's low bit is 0, phi2 when it is 1.
 
-    However the set is built, a non-finite angle raises ValueError.
+    However the set is built, a non-finite angle, or one beyond
+    ``_MAX_ANGLE`` in magnitude, raises ValueError.
     """
 
     __slots__ = ()
@@ -67,6 +89,8 @@ class AngleSet(NamedTuple("AngleSet", [("phi1", float), ("phi2", float)])):
     def __new__(cls, phi1: float, phi2: float) -> "AngleSet":
         if not (math.isfinite(phi1) and math.isfinite(phi2)):
             raise ValueError("rotation angles must be finite")
+        if abs(phi1) > _MAX_ANGLE or abs(phi2) > _MAX_ANGLE:
+            raise ValueError(f"rotation angles must lie within +-{_MAX_ANGLE!r} rad")
         return super().__new__(cls, phi1, phi2)
 
     @classmethod
@@ -199,7 +223,7 @@ def closed_form_p(pair: SchmidtPair, angles: AngleSet) -> float:
 
     Depends on the state only through alpha*beta.
     """
-    phi1, phi2 = angles
+    phi1, phi2 = angles.phi1, angles.phi2
     s1, s2 = math.sin(2.0 * phi1), math.sin(2.0 * phi2)
     return _closed_form(pair.alpha * pair.beta, math.cos(2.0 * phi1), s1, s1**2,
                         math.cos(2.0 * phi2), s2, s2**2)
@@ -217,17 +241,10 @@ def run_once(
     return Transcript.from_outcome(inputs, k >> 1, k & 1)
 
 
-def _edge_columns(pair: SchmidtPair, angles: AngleSet) -> np.ndarray:
-    """``_outcome_edges`` transposed to a (3, 4) array: line j holds edge j of every table row."""
-    import numpy as np
-
-    return np.array(_outcome_edges(pair, angles)).T
-
-
 def _outcomes(columns: np.ndarray, row: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Outcome k (int8, basis order) of each round at table row ``row`` drawing uniform ``us``.
 
-    ``columns`` comes from ``_edge_columns``.
+    Line j of ``columns`` holds CDF edge j of every table row (``_outcome_edges`` transposed).
     """
     import numpy as np
 
@@ -235,28 +252,6 @@ def _outcomes(columns: np.ndarray, row: np.ndarray, us: np.ndarray) -> np.ndarra
     for column in columns:
         k += us >= column[row]
     return k
-
-
-def run_batch(
-    pair: SchmidtPair,
-    angles: AngleSet,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Play one round per input pair (xs[i], ys[i]); returns arrays a, b, success.
-
-    Draws one block of ``len(xs)`` uniforms, one per round in order, so the
-    outcomes and the generator's final state are those of looping
-    ``run_once`` over the same inputs and generator.
-    """
-    import numpy as np
-
-    xs, ys = np.asarray(xs), np.asarray(ys)
-    row = 2 * (xs & 1) + (ys & 1)
-    k = _outcomes(_edge_columns(pair, angles), row, rng.random(xs.shape))
-    a, b = k >> 1, k & 1
-    return a, b, (a ^ b) == (row == 3)  # x0 AND y0 is 1 only on row 3
 
 
 # Trials per monte_carlo chunk: bounds its memory whatever ``trials`` is, and
@@ -310,7 +305,7 @@ def monte_carlo(
     inputs = np.random.default_rng(seed)
     uniforms = np.random.default_rng(seed)
     uniforms.bit_generator.advance(trials)
-    columns = _edge_columns(pair, angles)
+    columns = np.array(_outcome_edges(pair, angles)).T
     histogram = np.zeros(16, dtype=np.int64)  # trials per (row, outcome), index 4*row + k
     for start in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - start)

@@ -105,6 +105,13 @@ def test_exact_rejects_unnormalized_amplitudes(capsys):
     assert "amplitudes not normalized" in err
 
 
+def test_exact_rejects_angles_whose_double_overflows(capsys):
+    # finite, so argparse takes it, but closed_form_p's sin(2 phi1) would raise a domain error
+    code, out, err = run_cli(["exact", "--chi", "-30", "--phi1", "1e308"], capsys)
+    assert (code, out) == (2, "")
+    assert "rotation angles must lie within +-8.988465674311579e+307 rad" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan", "abc"])
 def test_exact_rejects_non_finite_angles(value, capsys):
     for flag in ("--phi1", "--phi2"):

@@ -22,13 +22,13 @@ LAYERS = ("state", "protocol", "optimize", "classical", "concentration", "cli")
 PUBLIC = {
     "state": ["SchmidtPair", "epr_state", "make_shared_state", "rotated_amplitudes"],
     "protocol": ["AngleSet", "InputPair", "MonteCarloResult", "PerInputReport", "Transcript",
-                 "closed_form_p", "exact_success_probability", "monte_carlo", "run_batch",
-                 "run_once", "target_function"],
+                 "closed_form_p", "exact_success_probability", "monte_carlo", "run_once",
+                 "target_function"],
     "optimize": ["AngleSolution", "optimal_closed_form", "optimal_numeric"],
     "classical": ["DeterministicProtocol", "EnumerationResult", "baseline_protocol",
                   "enumerate_best", "evaluate_protocol", "run_protocol"],
     "concentration": ["concentration_strategy_value", "concentration_success_probability",
-                      "simulate_concentration_batch", "simulate_concentration_run"],
+                      "simulate_concentration_run"],
 }
 
 

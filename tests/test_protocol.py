@@ -9,10 +9,10 @@ from qccsim.protocol import (
     AngleSet,
     InputPair,
     _input_rows,
+    _outcome_edges,
     closed_form_p,
     exact_success_probability,
     monte_carlo,
-    run_batch,
     run_once,
     target_function,
 )
@@ -45,6 +45,22 @@ def test_target_function_full_table():
         for y in range(4):
             want = ((x >> 1) ^ (y >> 1)) ^ ((x & 1) & (y & 1))
             assert target_function(InputPair(x, y)) == want
+
+
+@pytest.mark.parametrize("x,y", [(5, 0), (0, 4), (-1, 0), (1.5, 0), ("1", 0), (None, 2)])
+def test_input_pairs_refuse_values_outside_0_to_3(x, y):
+    # 5 would score against f = 2, and -1 would play as x = 3 but score as -1.
+    valid = InputPair(1, 2)
+    for build in (lambda: InputPair(x, y), lambda: InputPair._make([x, y]),
+                  lambda: valid._replace(x=x, y=y)):
+        with pytest.raises(ValueError, match=r"^inputs must be integers in 0\.\.3, got "):
+            build()
+
+
+def test_input_pairs_accept_integers_0_to_3():
+    # numpy integers, as a generator draws them, pass operator.index.
+    assert InputPair(np.int64(3), True) == (3, 1)
+    assert InputPair._make([3, 2]) == InputPair(1, 2)._replace(x=3) == (3, 2)
 
 
 def test_phi1_turns_a_low_bit_of_0_and_phi2_a_low_bit_of_1():
@@ -98,6 +114,24 @@ def test_closed_form_rejects_non_finite_inputs(field, bad, numpy_scalar):
     message = "^amplitudes not normalized: " if field < 2 else "^rotation angles must be finite$"
     with pytest.raises(ValueError, match=message):
         closed_form_p(SchmidtPair(*values[:2], 0.0), AngleSet(*values[2:]))
+
+
+@pytest.mark.parametrize("evaluate", [closed_form_p, exact_success_probability])
+def test_plain_tuple_angles_are_refused(evaluate):
+    # A plain tuple skips AngleSet's checks, so the evaluators read the angles by name.
+    with pytest.raises(AttributeError):
+        evaluate(epr_state(), (math.nan, 0.1))
+
+
+def test_angle_sets_refuse_angles_whose_double_overflows():
+    # closed_form_p evaluates sin(2 phi): 2e308 is inf, and math.sin(inf) raises.
+    for build in (lambda: AngleSet(1e308, 0.0), lambda: AngleSet(0.0, -1e308),
+                  lambda: EPR_ANGLES._replace(phi1=1e308)):
+        with pytest.raises(ValueError, match=r"^rotation angles must lie within \+-8\.98"):
+            build()
+    angles = AngleSet(8e307, 0.0)
+    assert math.isfinite(closed_form_p(epr_state(), angles))
+    assert all(math.isfinite(p) for p in exact_success_probability(epr_state(), angles))
 
 
 # Finite raw amplitudes whose products overflow.  The pair refuses them when it
@@ -237,16 +271,17 @@ def test_run_once_deterministic_states():
 
 
 def test_run_once_epr_outcome_frequencies():
-    # run_batch draws as run_once does round by round (pinned below), so this
-    # counts the outcomes of 10^6 looped rounds cycling through all 16 inputs.
+    # Unrotated, the EPR pair gives 00 or 11 with probability 1/2 each, at every input:
+    # each row's three CDF edges all sit at 1/2.
     pair, angles = epr_state(), AngleSet(0.0, 0.0)
-    rng = np.random.default_rng(2024)
-    draws = 10**6
-    i = np.arange(draws) & 15
-    a, b, _ = run_batch(pair, angles, i >> 2, i & 3, rng)
-    assert (a == b).all()  # only 00 and 11 have weight
-    n00 = int((a == 0).sum())
-    assert abs(n00 / draws - 0.5) < 0.002
+    for edges in _outcome_edges(pair, angles):
+        for edge in edges:
+            assert abs(edge - 0.5) < 1e-15
+    # So a == b on every round: rows 0-2 (even parity wins) are always won, row 3 never.
+    counts = monte_carlo(pair, angles, 10**6, 2024).per_input_counts
+    for (x0, y0), (wins, drawn) in counts.items():
+        assert wins == (0 if x0 & y0 else drawn)
+    assert sum(drawn for _, drawn in counts.values()) == 10**6
 
 
 def test_run_once_streams_are_reproducible():
@@ -267,29 +302,6 @@ def test_transcript_relations_hold_on_random_runs():
         assert t.msg_alice == t.a ^ inputs.x1
         assert t.msg_bob == t.b ^ inputs.y1
         assert t.success == (t.out_alice == target_function(inputs))
-
-
-def test_run_once_long_run_success_rate():
-    rng = np.random.default_rng(404)
-    runs = 10**6
-    xy = rng.integers(0, 4, size=(runs, 2))
-    hits = int(run_batch(epr_state(), EPR_ANGLES, xy[:, 0], xy[:, 1], rng)[2].sum())
-    assert abs(hits / runs - COS2_PI8) < 0.002
-
-
-@pytest.mark.parametrize("chi,seed", [(-math.pi / 4, 51), (-0.5, 52)])
-def test_run_batch_equals_looped_run_once(chi, seed):
-    pair = make_shared_state(chi)
-    angles = AngleSet(0.2, -0.4)
-    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    xy = rng.integers(0, 4, size=(1000, 2))
-    twin.integers(0, 4, size=(1000, 2))
-    a, b, success = run_batch(pair, angles, xy[:, 0], xy[:, 1], rng)
-    looped = [run_once(pair, angles, InputPair(int(x), int(y)), twin) for x, y in xy]
-    assert [(int(ai), int(bi), bool(si)) for ai, bi, si in zip(a, b, success)] == [
-        (t.a, t.b, t.success) for t in looped
-    ]
-    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 # --- Monte Carlo harness ------------------------------------------------------
@@ -330,17 +342,19 @@ def test_monte_carlo_counts_partition_trials():
     assert set(result.per_input_counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
-@pytest.mark.parametrize("chi", [-math.pi / 4, -0.5])
+# The last chi is outside the canonical domain: there alpha*beta > 0.
+@pytest.mark.parametrize("chi", [-math.pi / 4, -0.5, math.atan2(0.6, 0.8)])
 def test_monte_carlo_tallies_equal_looped_run_once(chi):
-    # monte_carlo's draw order is the int block, then one uniform per trial,
-    # which is what run_once consumes round by round.
-    pair = make_shared_state(chi)
+    # monte_carlo's documented draw order is the (trials, 2) int block, then one
+    # uniform per trial, which is what run_once consumes round by round.  The
+    # trials span several chunks, the last one partial.
+    pair = SchmidtPair.from_amplitudes(math.cos(chi), math.sin(chi))
     angles = AngleSet(0.2, -0.4)
-    n, seed = 20_000, 8
+    n, seed = 3 * protocol._CHUNK + 5, 8
     rng = np.random.default_rng(seed)
     counts = {(x0, y0): [0, 0] for x0 in (0, 1) for y0 in (0, 1)}
-    for x, y in rng.integers(0, 4, size=(n, 2)):
-        t = run_once(pair, angles, InputPair(int(x), int(y)), rng)
+    for x, y in rng.integers(0, 4, size=(n, 2)).tolist():
+        t = run_once(pair, angles, InputPair(x, y), rng)
         tally = counts[(t.inputs.x0, t.inputs.y0)]
         tally[0] += t.success
         tally[1] += 1
@@ -376,28 +390,6 @@ def test_input_rows_read_integers_from_raw_words(n, seed):
     assert drew["has_uint32"] == read["has_uint32"] == 0
     assert drew["state"] == read["state"]
     assert rng.random(4).tolist() == raw.random(4).tolist()
-
-
-@pytest.mark.parametrize(
-    "pair,angles",
-    [
-        (make_shared_state(-0.5), AngleSet(0.2, -0.4)),
-        (SchmidtPair.from_amplitudes(0.8, 0.6), AngleSet(0.3, -1.1)),  # alpha*beta > 0
-    ],
-)
-def test_monte_carlo_follows_documented_draw_order(pair, angles):
-    # The documented order, drawn in one piece: the whole (trials, 2) integer
-    # block, then one block of trials uniforms, played through run_batch.
-    trials, seed = 3 * 2**16 + 5, 17
-    rng = np.random.default_rng(seed)
-    xy = rng.integers(0, 4, size=(trials, 2))
-    success = run_batch(pair, angles, xy[:, 0], xy[:, 1], rng)[2]
-    want = {}
-    for x0 in (0, 1):
-        for y0 in (0, 1):
-            mask = ((xy[:, 0] & 1) == x0) & ((xy[:, 1] & 1) == y0)
-            want[(x0, y0)] = (int(success[mask].sum()), int(mask.sum()))
-    assert monte_carlo(pair, angles, trials, seed).per_input_counts == want
 
 
 @pytest.mark.parametrize(
