@@ -3,10 +3,10 @@ communication game over a shared pair alpha|00> + beta|11>.
 
 The public names below are loaded on first use (PEP 562); ``qccsim.state``
 and the other submodules load the same way.  No module imports numpy when
-it loads: the exact values, the optimizers and the classical search run in
-pure Python on Python floats, and numpy is imported inside the one
-vectorized sampler (``monte_carlo``) and the one function that returns an
-ndarray (``rotated_amplitudes``).  So ``python -m qccsim`` loads numpy for
+it loads: the exact values, the optimal angles and their certificate, and
+the classical search run in pure Python on Python floats, and numpy is
+imported inside the one vectorized sampler (``monte_carlo``) and the one
+function that returns an ndarray (``rotated_amplitudes``).  So ``python -m qccsim`` loads numpy for
 ``simulate`` only.  The command line starts at ``qccsim._entry:run``, as the
 console script and as ``python -m qccsim``; the package itself has no ``run``.
 """
@@ -21,7 +21,7 @@ _EXPORTS = {
     "protocol": ["AngleSet", "InputPair", "MonteCarloResult", "PerInputReport", "Transcript",
                  "closed_form_p", "exact_success_probability", "monte_carlo", "run_once",
                  "target_function"],
-    "optimize": ["AngleSolution", "optimal_closed_form", "optimal_numeric"],
+    "optimize": ["AngleSolution", "optimal_closed_form"],
     "classical": ["DeterministicProtocol", "EnumerationResult", "baseline_protocol",
                   "enumerate_best", "evaluate_protocol", "run_protocol"],
     "concentration": ["concentration_strategy_value", "concentration_success_probability",

@@ -10,7 +10,7 @@ loads numpy, inside ``monte_carlo``.  The sweep format lives in
 
 Subcommands:
   exact     -- per-input and total success probabilities at given angles
-  optimal   -- closed-form optimal angles, cross-checked numerically
+  optimal   -- closed-form optimal angles, certified by the Born rule and a bound
   sweep     -- theory curves over a range of shared states (CSV or JSON)
   simulate  -- seeded Monte Carlo runs at the optimal angles
   classical -- exhaustive search over deterministic two-bit protocols
@@ -18,8 +18,8 @@ Subcommands:
 Units: --chi/--chi-start/--chi-end are degrees (the canonical range is
 -45..0); --phi1/--phi2 and all angles in output are radians.  Exit codes:
 0 success, 1 the output file cannot be written or the request does not fit
-in memory (``sweep --steps 1000000000000000``), 2 usage or domain error,
-3 internal consistency failure, reported after the result is written.
+in memory (``sweep --steps 1000000000000000`` or more), 2 usage or domain
+error, 3 internal consistency failure, reported after the result is written.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ command runs; ``main`` and ``run`` are re-exported.  The sweep format lives
 here, beside ``sweep_records``: ``SweepRecord``'s fields are the CSV header
 and the JSON keys, and each CSV field is written as ``%.12g``.  Importing
 this module loads every layer module (``classical`` through the entry) but
-not numpy: ``exact``, ``optimal`` and ``sweep`` run in pure Python, and
-numpy loads only inside ``monte_carlo``, when ``simulate`` runs.  Units and
-exit codes are in ``qccsim._entry``.
+not numpy: ``exact``, ``optimal`` (its p_max checked against the Born rule
+and the Horodecki bound) and ``sweep`` run in pure Python, and numpy loads
+only inside ``monte_carlo``, when ``simulate`` runs.  Units and exit codes
+are in ``qccsim._entry``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator, NamedTuple
 from . import _FLOAT
 from ._entry import ConsistencyError, _kv_report, _write, main, run
 from .concentration import concentration_strategy_value
-from .optimize import optimal_closed_form, optimal_numeric
+from .optimize import _correlation_bound, optimal_closed_form
 from .protocol import AngleSet, closed_form_p, exact_success_probability, monte_carlo
 from .state import SchmidtPair, make_shared_state
 
@@ -77,8 +78,8 @@ def cmd_exact(args: argparse.Namespace) -> None:
 def cmd_optimal(args: argparse.Namespace) -> None:
     pair = make_shared_state(math.radians(args.chi))
     sol = optimal_closed_form(pair)
-    numeric = optimal_numeric(pair)
-    discrepancy = abs(sol.p_max - numeric.p_max)
+    born = exact_success_probability(pair, AngleSet(sol.phi1, sol.phi2)).total
+    discrepancy = abs(sol.p_max - born)
     fields = [
         ("chi_deg", math.degrees(pair.chi)),
         ("alpha", pair.alpha),
@@ -87,12 +88,15 @@ def cmd_optimal(args: argparse.Namespace) -> None:
         ("phi2", sol.phi2),
         ("t", sol.t),
         ("p_max", sol.p_max),
-        ("numeric_p_max", numeric.p_max),
+        ("numeric_p_max", born),
         ("discrepancy", discrepancy),
     ]
     _write(args, {"record": dict(fields)}, _kv_report(fields))
+    bound = _correlation_bound(pair)
+    if sol.p_max > bound + OPTIMAL_DISCREPANCY_LIMIT:
+        raise ConsistencyError(f"p_max {sol.p_max:.12g} exceeds the Horodecki bound {bound:.12g}")
     if discrepancy > OPTIMAL_DISCREPANCY_LIMIT:
-        raise ConsistencyError(f"closed-form/numeric discrepancy {discrepancy:.3e} exceeds "
+        raise ConsistencyError(f"closed-form/Born-rule discrepancy {discrepancy:.3e} exceeds "
                                f"{OPTIMAL_DISCREPANCY_LIMIT:.0e}")
 
 
@@ -165,12 +169,15 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
     Point i is i*step + start, or (i/div)*delta + start when the step
     underflows to 0, and the last point is ``stop`` itself.  The list is
-    allocated first, so a ``num`` that cannot fit raises MemoryError at once.
+    allocated first, so a ``num`` that cannot fit (or index) raises MemoryError.
     """
+    try:
+        grid = [0.0] * num
+    except OverflowError:
+        raise MemoryError from None
     div = num - 1
     delta = stop - start
     step = delta / div
-    grid = [0.0] * num
     if step == 0:
         for i in range(num):
             grid[i] = i / div * delta + start

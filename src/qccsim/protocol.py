@@ -87,7 +87,11 @@ class AngleSet(NamedTuple("AngleSet", [("phi1", float), ("phi2", float)])):
     __slots__ = ()
 
     def __new__(cls, phi1: float, phi2: float) -> "AngleSet":
-        if not (math.isfinite(phi1) and math.isfinite(phi2)):
+        try:
+            finite = math.isfinite(phi1) and math.isfinite(phi2)
+        except OverflowError:  # an int beyond every float: finite, and refused below
+            finite = True
+        if not finite:
             raise ValueError("rotation angles must be finite")
         if abs(phi1) > _MAX_ANGLE or abs(phi2) > _MAX_ANGLE:
             raise ValueError(f"rotation angles must lie within +-{_MAX_ANGLE!r} rad")
@@ -201,20 +205,14 @@ def exact_success_probability(pair: SchmidtPair, angles: AngleSet) -> PerInputRe
     return PerInputReport(p00, p01, p10, p11, (p00 + p01 + p10 + p11) / 4.0)
 
 
-def _row_coefficients(ab, c1, s1):
-    """The closed form's factors a, b, q, fixed by alpha*beta and phi1 (see ``_closed_form``)."""
-    return 0.25 * c1, 0.5 * ab * s1, 0.125 * (1.0 - 2.0 * ab)
-
-
 def _closed_form(ab, c1, s1, sq1, c2, s2, sq2):
     """The closed form from alpha*beta and, per angle phi_k, cos 2phi_k, sin 2phi_k and its square.
 
     p = 1/2 + a cos 2phi2 + b sin 2phi2 + q (sin^2 2phi2 - sin^2 2phi1), with
-    a = cos(2phi1)/4, b = alpha*beta sin(2phi1)/2 and q = (1 - 2 alpha*beta)/8
-    from ``_row_coefficients``; evaluated left to right.
-    ``optimize.optimal_numeric`` evaluates the last line inline per grid cell.
+    a = cos(2phi1)/4, b = alpha*beta sin(2phi1)/2 and q = (1 - 2 alpha*beta)/8;
+    evaluated left to right.
     """
-    a, b, q = _row_coefficients(ab, c1, s1)
+    a, b, q = 0.25 * c1, 0.5 * ab * s1, 0.125 * (1.0 - 2.0 * ab)
     return 0.5 + a * c2 + b * s2 + q * (sq2 - sq1)
 
 

@@ -46,8 +46,12 @@ class SchmidtPair(NamedTuple("SchmidtPair", [("alpha", float), ("beta", float), 
     __slots__ = ()
 
     def __new__(cls, alpha: float, beta: float, chi: float) -> "SchmidtPair":
-        norm = alpha * alpha + beta * beta
-        if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN or infinite norm fails too
+        try:
+            norm = alpha * alpha + beta * beta
+            off = abs(norm - 1.0)
+        except OverflowError:  # an int amplitude whose square is beyond every float
+            norm = off = math.inf
+        if not off <= NORM_TOL:  # written so that a NaN or infinite norm fails too
             raise ValueError(f"amplitudes not normalized: alpha^2+beta^2 = {norm!r}")
         return super().__new__(cls, alpha, beta, chi)
 
@@ -62,7 +66,7 @@ class SchmidtPair(NamedTuple("SchmidtPair", [("alpha", float), ("beta", float), 
         Accepts any normalized (alpha, beta), including beta > 0 and
         |beta| > |alpha|; used for property tests and exploration.
         """
-        return cls(alpha, beta, math.atan2(beta, alpha))
+        return cls(alpha, beta, 0.0)._replace(chi=math.atan2(beta, alpha))  # checked before atan2
 
 
 def make_shared_state(chi: float) -> SchmidtPair:

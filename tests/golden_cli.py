@@ -61,6 +61,9 @@ CLI_CALLS = [
     ["optimal", "--chi", "1e-13"],
     ["simulate", "--chi", "1e-13", "--trials", "10"],
     ["sweep", "--chi-start", "-45", "--chi-end", "1e-11", "--steps", "3"],
+    # chi just below 0, where phi1 is about -2e-9 and -2e-12 rad and 1 - cos 4phi1 is tiny
+    ["optimal", "--chi", "-0.0001"],
+    ["optimal", "--chi", "-1e-06"],
 ]
 
 # pinned by exit code and stdout sha256 only

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qccsim import cli
-from qccsim.optimize import AngleSolution
+from oracles import brute_force_total, horodecki_bound
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 
@@ -173,23 +173,42 @@ def test_optimal_rejects_out_of_domain(capsys):
     assert code == 2
 
 
-def test_optimal_flags_numeric_regression(capsys, monkeypatch):
-    # the full report, carrying the faulty numeric_p_max, comes first; then one error line
-    argv = ["optimal", "--chi", "-45", "--format"]
-    text = run_cli(argv + ["text"], capsys)[1]
-    doc = json.loads(run_cli(argv + ["json"], capsys)[1])
-    discrepancy = doc["record"]["p_max"] - 0.5
-    doc["record"].update(numeric_p_max=0.5, discrepancy=discrepancy)
-    text = "".join(text.splitlines(True)[:7]) + (
-        f"numeric_p_max = 0.5\ndiscrepancy = {discrepancy:.12g}\n")
-    assert list(parse_kv(text)) == list(doc["record"]) == [
+# Wrong solutions that optimal_closed_form might return: each fails a check of cmd_optimal.
+_MUTANTS = {
+    "phi1-negated": lambda sol: sol._replace(phi1=-sol.phi1),  # Born value 0.13-0.18 low
+    "phi2-x1.01": lambda sol: sol._replace(phi2=1.01 * sol.phi2),  # Born value ~3e-5 low
+    "p_max+1e-3": lambda sol: sol._replace(p_max=sol.p_max + 1e-3),  # above the bound
+}
+
+
+@pytest.mark.parametrize("chi", ["-30", "-45"])
+@pytest.mark.parametrize("mutant", _MUTANTS)
+def test_optimal_flags_numeric_regression(capsys, monkeypatch, mutant, chi):
+    # the full report of the faulty solution comes first; then one error line
+    closed_form, wrong = cli.optimal_closed_form, _MUTANTS[mutant]
+    monkeypatch.setattr(cli, "optimal_closed_form", lambda pair: wrong(closed_form(pair)))
+    pair = cli.make_shared_state(math.radians(float(chi)))
+    sol = cli.optimal_closed_form(pair)
+    argv = ["optimal", "--chi", chi, "--format"]
+    code, text, err = run_cli(argv + ["text"], capsys)
+    json_code, json_out, json_err = run_cli(argv + ["json"], capsys)
+    assert code == json_code == 3
+    record = json.loads(json_out)["record"]
+    assert list(parse_kv(text)) == list(record) == [
         "chi_deg", "alpha", "beta", "phi1", "phi2", "t", "p_max", "numeric_p_max", "discrepancy"]
-    monkeypatch.setattr(cli, "optimal_numeric", lambda pair: AngleSolution(0.0, 0.0, 0.0, 0.5))
-    for fmt, want in (("text", text), ("json", doc)):
-        code, out, err = run_cli(argv + [fmt], capsys)
-        assert code == 3
-        assert (out if fmt == "text" else json.loads(out)) == want
-        assert err == f"error: closed-form/numeric discrepancy {discrepancy:.3e} exceeds 1e-06\n"
+    assert parse_kv(text) == {key: "%.12g" % value for key, value in record.items()}
+    assert (record["alpha"], record["beta"]) == (pair.alpha, pair.beta)
+    assert (record["phi1"], record["phi2"], record["t"], record["p_max"]) == tuple(sol)[:4]
+    born = brute_force_total(pair.alpha, pair.beta, sol.phi1, sol.phi2)
+    assert abs(record["numeric_p_max"] - born) < 1e-12
+    discrepancy = abs(record["p_max"] - record["numeric_p_max"])
+    assert record["discrepancy"] == discrepancy
+    if mutant == "p_max+1e-3":
+        bound = horodecki_bound(pair.alpha, pair.beta)
+        want = f"error: p_max {sol.p_max:.12g} exceeds the Horodecki bound {bound:.12g}\n"
+    else:
+        want = f"error: closed-form/Born-rule discrepancy {discrepancy:.3e} exceeds 1e-06\n"
+    assert err == json_err == want
 
 
 # --- sweep -------------------------------------------------------------------
@@ -374,13 +393,15 @@ def test_simulate_json_is_strict_for_unbounded_z(capsys):
 
 def test_oversized_request_exits_1(capsys):
     # 7 PiB of list slots: beyond the 47-bit address space, so the grid's
-    # allocation fails at once, before any point is computed.
+    # allocation fails at once, before any point is computed.  10^23 slots
+    # are beyond sys.maxsize, which no list can index.
     # (simulate streams its trials in chunks, so no --trials fails on memory.)
-    argv = ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "1000000000000000"]
-    code, out, err = run_cli(argv, capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for steps in ("1000000000000000", "100000000000000000000000"):
+        argv = ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", steps]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- classical ---------------------------------------------------------------

@@ -24,7 +24,7 @@ PUBLIC = {
     "protocol": ["AngleSet", "InputPair", "MonteCarloResult", "PerInputReport", "Transcript",
                  "closed_form_p", "exact_success_probability", "monte_carlo", "run_once",
                  "target_function"],
-    "optimize": ["AngleSolution", "optimal_closed_form", "optimal_numeric"],
+    "optimize": ["AngleSolution", "optimal_closed_form"],
     "classical": ["DeterministicProtocol", "EnumerationResult", "baseline_protocol",
                   "enumerate_best", "evaluate_protocol", "run_protocol"],
     "concentration": ["concentration_strategy_value", "concentration_success_probability",

@@ -1,12 +1,14 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from qccsim.optimize import GRID_STEPS, REFINE_ITERS, optimal_closed_form, optimal_numeric
+from qccsim.optimize import _correlation_bound, optimal_closed_form
 from qccsim.protocol import AngleSet, _closed_form, closed_form_p
-from qccsim.state import NORM_TOL, SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
-from oracles import horodecki_bound
+from qccsim.state import SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
+from oracles import ANGLE_DIGITS, decimal_sin, horodecki_bound, optimal_angle_halves
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 CHI_GRID = [float(c) for c in np.linspace(-math.pi / 4, 0.0, 33)]
@@ -52,8 +54,7 @@ def test_intermediate_solution_value():
     sol = optimal_closed_form(pair)
     assert abs(sol.p_max - 0.79154759474226499) < 1e-12
     assert abs(closed_form_p(pair, AngleSet(sol.phi1, sol.phi2)) - sol.p_max) < 1e-9
-    numeric = optimal_numeric(pair)
-    assert abs(numeric.p_max - 0.79154759474226499) < 1e-9
+    assert abs(_numpy_scan_optimum(pair)[2] - 0.79154759474226499) < 1e-9
 
 
 def test_aux_ratio_definition():
@@ -82,15 +83,20 @@ def test_numeric_matches_closed_form():
     for chi in CHI_GRID[::4]:
         pair = make_shared_state(chi)
         sol = optimal_closed_form(pair)
-        numeric = optimal_numeric(pair)
-        assert abs(numeric.p_max - sol.p_max) < 1e-9
+        assert abs(_numpy_scan_optimum(pair)[2] - sol.p_max) < 1e-9
+
+
+GRID_STEPS = 256  # the scan's grid is GRID_STEPS x GRID_STEPS
+REFINE_ITERS = 40  # compass-search step halvings after the scan
 
 
 def _numpy_scan_optimum(pair):
-    """``optimal_numeric`` as a numpy broadcast scan: the closed form over the
-    whole grid, its first argmax, then the same compass refinement.
+    """``(phi1, phi2, p)`` maximizing ``closed_form_p`` by search, knowing nothing of its maximum.
 
-    The grid takes numpy's cos and sin and squares them as products.
+    The closed form over a GRID_STEPS x GRID_STEPS grid on [-pi/2, pi/2)^2
+    (its period in each angle), its first argmax, then REFINE_ITERS rounds
+    of compass search with a halving step.  The grid takes numpy's cos and
+    sin and squares them as products.
     """
     grid = -0.5 * math.pi + math.pi * np.arange(GRID_STEPS) / GRID_STEPS
     c, s = np.cos(2.0 * grid), np.sin(2.0 * grid)
@@ -112,40 +118,6 @@ def _numpy_scan_optimum(pair):
     return phi1, phi2, best
 
 
-# The 33-state grid, then seeded chi in [-45, 45] degrees for both signs of alpha*beta.
-_SCAN_CHIS = CHI_GRID + np.random.default_rng(41).uniform(-math.pi / 4, math.pi / 4, 64).tolist()
-# States where the scan's pruning bound is tight or degenerate: at chi = 0 the
-# sin 2phi2 factor is 0 and every row ties; the EPR state has alpha*beta = -1/2;
-# at alpha*beta = +1/2 the squared-sin factor (1 - 2 alpha*beta)/8 is 0, or
-# just below 0 where the product rounds up, and most negative, near
-# -NORM_TOL/8, at alpha = beta on the edge of the normalization tolerance.
-_SCAN_EDGES = {
-    "product": SchmidtPair(1.0, 0.0, 0.0),
-    "epr": epr_state(),
-    "ab=+1/2": SchmidtPair.from_amplitudes(0.7071067811865476, 0.7071067811865475),
-    "ab=+1/2+ulp": SchmidtPair.from_amplitudes(math.sqrt(0.5), math.sqrt(0.5)),
-    "ab=(1+tol)/2": SchmidtPair(*[math.sqrt((1.0 + 0.999e-12) / 2.0)] * 2, 0.0),
-}
-_SCAN_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c), c), id=str(c))
-               for c in _SCAN_CHIS]
-_SCAN_PAIRS += [pytest.param(pair, id=name) for name, pair in _SCAN_EDGES.items()]
-
-
-def test_scan_edges_are_as_named():
-    ab = {name: pair.alpha * pair.beta for name, pair in _SCAN_EDGES.items()}
-    assert ab["product"] == 0.0
-    assert ab["epr"] == -0.5000000000000001
-    assert ab["ab=+1/2"] == 0.5 and 1.0 - 2.0 * ab["ab=+1/2"] == 0.0
-    assert 1.0 - 2.0 * ab["ab=+1/2+ulp"] < 0.0
-    assert -NORM_TOL / 8.0 <= (1.0 - 2.0 * ab["ab=(1+tol)/2"]) / 8.0 < -0.99 * NORM_TOL / 8.0
-
-
-@pytest.mark.parametrize("pair", _SCAN_PAIRS)
-def test_numeric_scan_equals_numpy_broadcast_scan(pair):
-    numeric = optimal_numeric(pair)
-    assert (numeric.phi1, numeric.phi2, numeric.p_max) == _numpy_scan_optimum(pair)
-
-
 @pytest.mark.parametrize("alpha,beta", [(math.nan, -0.5), (0.8, math.nan), (math.inf, -0.5),
                                         (0.8, -math.inf), (math.inf, math.inf)])
 def test_numeric_refuses_non_finite_amplitudes(alpha, beta):
@@ -155,8 +127,8 @@ def test_numeric_refuses_non_finite_amplitudes(alpha, beta):
 
 
 def test_numeric_endpoint_values():
-    assert abs(optimal_numeric(SchmidtPair(1.0, 0.0, 0.0)).p_max - 0.75) < 1e-9
-    assert abs(optimal_numeric(epr_state()).p_max - COS2_PI8) < 1e-9
+    assert abs(_numpy_scan_optimum(SchmidtPair(1.0, 0.0, 0.0))[2] - 0.75) < 1e-9
+    assert abs(_numpy_scan_optimum(epr_state())[2] - COS2_PI8) < 1e-9
 
 
 def test_numeric_accepts_positive_product():
@@ -167,10 +139,9 @@ def test_numeric_accepts_positive_product():
     for chi_deg in (11.25, 22.5, 45.0):
         alpha, beta = math.cos(math.radians(chi_deg)), math.sin(math.radians(chi_deg))
         pair = SchmidtPair.from_amplitudes(alpha, beta)
-        numeric = optimal_numeric(pair)
-        achieved = closed_form_p(pair, AngleSet(numeric.phi1, numeric.phi2))
-        assert abs(numeric.p_max - achieved) < 1e-12
-        assert abs(numeric.p_max - 0.75) < 1e-12
+        phi1, phi2, p = _numpy_scan_optimum(pair)
+        assert abs(p - closed_form_p(pair, AngleSet(phi1, phi2))) < 1e-12
+        assert abs(p - 0.75) < 1e-12
 
         sol = optimal_closed_form(SchmidtPair.from_amplitudes(alpha, -beta))
         relabeled = _four_angle_win(alpha, beta, sol.phi1, sol.phi2, -sol.phi1, -sol.phi2)
@@ -181,6 +152,31 @@ def test_numeric_accepts_positive_product():
 def test_horodecki_certificate_equals_p_max(chi):
     alpha, beta = math.cos(chi), math.sin(chi)
     assert abs(horodecki_bound(alpha, beta) - _p_max(alpha, beta)) <= 1e-12
+    # The package's bound writes the correlation matrix out from the amplitudes;
+    # the oracle builds it from Pauli matrices and takes its singular values.
+    pair = SchmidtPair.from_amplitudes(alpha, beta)
+    assert abs(_correlation_bound(pair) - horodecki_bound(alpha, beta)) <= 1e-15
+
+
+# The 2001-step sweep from -45 to 0 degrees, then chi = -10^-k degrees for k = 1..12,
+# where 1 - x is as small as 4e-41.
+_ANGLE_CHIS = np.linspace(math.radians(-45.0), 0.0, 2001).tolist() + [
+    math.radians(-(10.0 ** -k)) for k in range(1, 13)]
+_ANGLE_ULPS = 6  # relative ulps (2^-52); sin^2 2phi comes out within about 3.5 of them
+
+
+def test_optimal_angles_match_decimal_reference():
+    # sin^2 2phi = (1 - x)/2 for phi = -+(1/4) arccos x, with 2phi in [-pi/2, pi/2].
+    with decimal.localcontext() as ctx:
+        ctx.prec = ANGLE_DIGITS
+        tol = Decimal(_ANGLE_ULPS) * Decimal(2) ** -52
+        for chi in _ANGLE_CHIS:
+            pair = make_shared_state(chi)
+            sol = optimal_closed_form(pair)
+            assert -math.pi / 4 <= sol.phi1 <= 0.0 <= sol.phi2 <= math.pi / 4
+            for phi, half in zip((sol.phi1, sol.phi2), optimal_angle_halves(pair.alpha, pair.beta)):
+                got = decimal_sin(2 * Decimal(phi)) ** 2
+                assert abs(got - half) <= tol * half, (chi, phi)
 
 
 def test_random_four_angle_strategies_never_beat_the_certificate():

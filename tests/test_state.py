@@ -57,10 +57,14 @@ def test_from_amplitudes_rejects_unnormalized():
         SchmidtPair.from_amplitudes(0.8, 0.7)
 
 
-@pytest.mark.parametrize("alpha,beta", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0)])
+# An int whose square is beyond every float is refused alike, not with OverflowError.
+@pytest.mark.parametrize("alpha,beta", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0),
+                                        pytest.param(10**200, 0, id="10**200-0")])
 def test_from_amplitudes_rejects_non_finite(alpha, beta):
     with pytest.raises(ValueError):
         SchmidtPair.from_amplitudes(alpha, beta)
+    with pytest.raises(ValueError):
+        SchmidtPair(alpha, beta, 0.0)
 
 
 def test_epr_state():
