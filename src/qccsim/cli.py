@@ -93,8 +93,8 @@ def cmd_optimal(args: argparse.Namespace) -> None:
     ]
     _write(args, {"record": dict(fields)}, _kv_report(fields))
     bound = _correlation_bound(pair)
-    if sol.p_max > bound + OPTIMAL_DISCREPANCY_LIMIT:
-        raise ConsistencyError(f"p_max {sol.p_max:.12g} exceeds the Horodecki bound {bound:.12g}")
+    if abs(bound - sol.p_max) > OPTIMAL_DISCREPANCY_LIMIT:
+        raise ConsistencyError(f"p_max {sol.p_max:.12g} is not the Horodecki bound {bound:.12g}")
     if discrepancy > OPTIMAL_DISCREPANCY_LIMIT:
         raise ConsistencyError(f"closed-form/Born-rule discrepancy {discrepancy:.3e} exceeds "
                                f"{OPTIMAL_DISCREPANCY_LIMIT:.0e}")

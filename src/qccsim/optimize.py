@@ -2,8 +2,8 @@
 
 ``qccsim optimal`` certifies ``optimal_closed_form`` apart from its algebra:
 the Born-rule value (``protocol.exact_success_probability``) at its angles
-shows that p_max is reached, and ``_correlation_bound`` that no projective
-strategy does better.
+shows that p_max is reached, and its equality with ``_correlation_bound``
+that no projective strategy does better.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def optimal_closed_form(pair: SchmidtPair) -> AngleSolution:
     m = abs(ab)
     root = math.sqrt(1.0 + 4.0 * m * m)
     den = 1.0 + 2.0 * m
-    phi1 = -0.5 * math.asin(math.sqrt(8.0 * m**3 / (root * (root + 1.0) * den)))
+    phi1 = -0.5 * math.asin(2.0 * m * math.sqrt(2.0 * m / (root * (root + 1.0) * den)))
     phi2 = 0.5 * math.asin(math.sqrt(2.0 * m * (1.0 + 1.0 / root) / den))
     return AngleSolution(phi1, phi2, 4.0 * ab / root, 0.5 + 0.25 * root)
 

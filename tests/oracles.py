@@ -167,9 +167,14 @@ def vidal_bound(source, target) -> float:
     return float(min(lam[l:].sum() / mu[l:].sum() for l in range(len(lam))))
 
 
-# Digits for the optimal-angle reference.  Its 1 - x loses about 41 of them
-# at chi = -1e-12 degrees, where x is within 4e-41 of 1.
-ANGLE_DIGITS = 80
+# Digits for the optimal-angle reference, beyond those its 1 - x loses: about
+# three per decade of 1/|alpha*beta|, as 1 - x1 is about 16|alpha*beta|^3.
+ANGLE_DIGITS = 50
+
+
+def angle_digits(alpha: float, beta: float) -> int:
+    """Decimal precision at which ``optimal_angle_halves`` keeps ANGLE_DIGITS digits."""
+    return ANGLE_DIGITS - 3 * min(0, Decimal(alpha * beta).adjusted())
 
 
 def decimal_sin(x: Decimal) -> Decimal:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qccsim import cli
+from qccsim.protocol import AngleSet, closed_form_p
 from oracles import brute_force_total, horodecki_bound
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
@@ -173,11 +174,17 @@ def test_optimal_rejects_out_of_domain(capsys):
     assert code == 2
 
 
+def _halved(pair, sol):
+    angles = AngleSet(sol.phi1 / 2.0, sol.phi2 / 2.0)
+    return sol._replace(phi1=angles.phi1, phi2=angles.phi2, p_max=closed_form_p(pair, angles))
+
+
 # Wrong solutions that optimal_closed_form might return: each fails a check of cmd_optimal.
 _MUTANTS = {
-    "phi1-negated": lambda sol: sol._replace(phi1=-sol.phi1),  # Born value 0.13-0.18 low
-    "phi2-x1.01": lambda sol: sol._replace(phi2=1.01 * sol.phi2),  # Born value ~3e-5 low
-    "p_max+1e-3": lambda sol: sol._replace(p_max=sol.p_max + 1e-3),  # above the bound
+    "phi1-negated": lambda pair, sol: sol._replace(phi1=-sol.phi1),  # Born value 0.13-0.18 low
+    "phi2-x1.01": lambda pair, sol: sol._replace(phi2=1.01 * sol.phi2),  # Born value ~3e-5 low
+    "p_max+1e-3": lambda pair, sol: sol._replace(p_max=sol.p_max + 1e-3),  # above the bound
+    "halved": _halved,  # reports its own Born value, below the bound
 }
 
 
@@ -186,7 +193,7 @@ _MUTANTS = {
 def test_optimal_flags_numeric_regression(capsys, monkeypatch, mutant, chi):
     # the full report of the faulty solution comes first; then one error line
     closed_form, wrong = cli.optimal_closed_form, _MUTANTS[mutant]
-    monkeypatch.setattr(cli, "optimal_closed_form", lambda pair: wrong(closed_form(pair)))
+    monkeypatch.setattr(cli, "optimal_closed_form", lambda pair: wrong(pair, closed_form(pair)))
     pair = cli.make_shared_state(math.radians(float(chi)))
     sol = cli.optimal_closed_form(pair)
     argv = ["optimal", "--chi", chi, "--format"]
@@ -203,9 +210,9 @@ def test_optimal_flags_numeric_regression(capsys, monkeypatch, mutant, chi):
     assert abs(record["numeric_p_max"] - born) < 1e-12
     discrepancy = abs(record["p_max"] - record["numeric_p_max"])
     assert record["discrepancy"] == discrepancy
-    if mutant == "p_max+1e-3":
+    if mutant in ("p_max+1e-3", "halved"):
         bound = horodecki_bound(pair.alpha, pair.beta)
-        want = f"error: p_max {sol.p_max:.12g} exceeds the Horodecki bound {bound:.12g}\n"
+        want = f"error: p_max {sol.p_max:.12g} is not the Horodecki bound {bound:.12g}\n"
     else:
         want = f"error: closed-form/Born-rule discrepancy {discrepancy:.3e} exceeds 1e-06\n"
     assert err == json_err == want

@@ -8,7 +8,7 @@ import pytest
 from qccsim.optimize import _correlation_bound, optimal_closed_form
 from qccsim.protocol import AngleSet, _closed_form, closed_form_p, exact_success_probability
 from qccsim.state import NORM_TOL, SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
-from oracles import ANGLE_DIGITS, decimal_sin, horodecki_bound, optimal_angle_halves
+from oracles import angle_digits, decimal_sin, horodecki_bound, optimal_angle_halves
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 CHI_GRID = [float(c) for c in np.linspace(-math.pi / 4, 0.0, 33)]
@@ -148,10 +148,10 @@ def test_scan_edges_are_as_named():
 
 @pytest.mark.parametrize("pair", _SCAN_PAIRS)
 def test_numeric_scan_equals_numpy_broadcast_scan(pair):
-    # The search, which knows nothing of the maximum, never beats the bound.
-    # For alpha*beta <= 0 it finds the Born value at the closed-form angles,
-    # which `qccsim optimal` reports as numeric_p_max; for alpha*beta > 0
-    # shared angles reach only 3/4.
+    # "numeric" is the numeric_p_max that `qccsim optimal` reports: the Born
+    # value at the closed-form angles.  For alpha*beta <= 0 the numpy scan,
+    # which knows nothing of the maximum, finds it; for alpha*beta > 0 shared
+    # angles reach only 3/4.  Either way the scan never beats the bound.
     phi1, phi2, best = _numpy_scan_optimum(pair)
     assert abs(best - exact_success_probability(pair, AngleSet(phi1, phi2)).total) < 1e-12
     assert best <= _correlation_bound(pair) + 1e-12
@@ -204,19 +204,19 @@ def test_horodecki_certificate_equals_p_max(chi):
 
 
 # The 2001-step sweep from -45 to 0 degrees, then chi = -10^-k degrees for k = 1..12,
-# where 1 - x is as small as 4e-41.
+# where 1 - x is as small as 4e-41, and k = 110, where (alpha*beta)^3 underflows.
 _ANGLE_CHIS = np.linspace(math.radians(-45.0), 0.0, 2001).tolist() + [
-    math.radians(-(10.0 ** -k)) for k in range(1, 13)]
+    math.radians(-(10.0 ** -k)) for k in [*range(1, 13), 110]]
 _ANGLE_ULPS = 6  # relative ulps (2^-52); sin^2 2phi comes out within about 3.5 of them
 
 
 def test_optimal_angles_match_decimal_reference():
     # sin^2 2phi = (1 - x)/2 for phi = -+(1/4) arccos x, with 2phi in [-pi/2, pi/2].
     with decimal.localcontext() as ctx:
-        ctx.prec = ANGLE_DIGITS
         tol = Decimal(_ANGLE_ULPS) * Decimal(2) ** -52
         for chi in _ANGLE_CHIS:
             pair = make_shared_state(chi)
+            ctx.prec = angle_digits(pair.alpha, pair.beta)
             sol = optimal_closed_form(pair)
             assert -math.pi / 4 <= sol.phi1 <= 0.0 <= sol.phi2 <= math.pi / 4
             for phi, half in zip((sol.phi1, sol.phi2), optimal_angle_halves(pair.alpha, pair.beta)):
