@@ -160,10 +160,6 @@ def _csv_lines(records: list[SweepRecord]) -> Iterator[str]:
         yield _CSV_ROW % r
 
 
-def records_to_csv(records: list[SweepRecord]) -> str:
-    return "".join(_csv_lines(records))
-
-
 def _linspace(start: float, stop: float, num: int) -> list[float]:
     """``np.linspace(start, stop, num).tolist()`` for num >= 2, by numpy's own recipe.
 

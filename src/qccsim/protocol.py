@@ -205,26 +205,18 @@ def exact_success_probability(pair: SchmidtPair, angles: AngleSet) -> PerInputRe
     return PerInputReport(p00, p01, p10, p11, (p00 + p01 + p10 + p11) / 4.0)
 
 
-def _closed_form(ab, c1, s1, sq1, c2, s2, sq2):
-    """The closed form from alpha*beta and, per angle phi_k, cos 2phi_k, sin 2phi_k and its square.
-
-    p = 1/2 + a cos 2phi2 + b sin 2phi2 + q (sin^2 2phi2 - sin^2 2phi1), with
-    a = cos(2phi1)/4, b = alpha*beta sin(2phi1)/2 and q = (1 - 2 alpha*beta)/8;
-    evaluated left to right.
-    """
-    a, b, q = 0.25 * c1, 0.5 * ab * s1, 0.125 * (1.0 - 2.0 * ab)
-    return 0.5 + a * c2 + b * s2 + q * (sq2 - sq1)
-
-
 def closed_form_p(pair: SchmidtPair, angles: AngleSet) -> float:
     """Total success probability of the strategy, in closed form.
 
-    Depends on the state only through alpha*beta.
+    p = 1/2 + a cos 2phi2 + b sin 2phi2 + q (sin^2 2phi2 - sin^2 2phi1), with
+    a = cos(2phi1)/4, b = alpha*beta sin(2phi1)/2 and q = (1 - 2 alpha*beta)/8;
+    evaluated left to right.  Depends on the state only through alpha*beta.
     """
     phi1, phi2 = angles.phi1, angles.phi2
+    ab = pair.alpha * pair.beta
     s1, s2 = math.sin(2.0 * phi1), math.sin(2.0 * phi2)
-    return _closed_form(pair.alpha * pair.beta, math.cos(2.0 * phi1), s1, s1**2,
-                        math.cos(2.0 * phi2), s2, s2**2)
+    a, b, q = 0.25 * math.cos(2.0 * phi1), 0.5 * ab * s1, 0.125 * (1.0 - 2.0 * ab)
+    return 0.5 + a * math.cos(2.0 * phi2) + b * s2 + q * (s2**2 - s1**2)
 
 
 def run_once(
@@ -237,19 +229,6 @@ def run_once(
     edges = _outcome_edges(pair, angles)[2 * inputs.x0 + inputs.y0]
     k = bisect.bisect_right(edges, rng.random())
     return Transcript.from_outcome(inputs, k >> 1, k & 1)
-
-
-def _outcomes(columns: np.ndarray, row: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Outcome k (int8, basis order) of each round at table row ``row`` drawing uniform ``us``.
-
-    Line j of ``columns`` holds CDF edge j of every table row (``_outcome_edges`` transposed).
-    """
-    import numpy as np
-
-    k = np.zeros(row.shape, dtype=np.int8)
-    for column in columns:
-        k += us >= column[row]
-    return k
 
 
 # Trials per monte_carlo chunk: bounds its memory whatever ``trials`` is, and
@@ -308,7 +287,14 @@ def monte_carlo(
     for start in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - start)
         row = _input_rows(inputs.bit_generator.random_raw(n))
-        k = _outcomes(columns, row, uniforms.random(n))
+        us = uniforms.random(n)
+        k = np.zeros(n, dtype=np.int8)  # outcome, basis order
+        for column in columns:  # line j of columns holds CDF edge j of every row
+            k += us >= column[row]
+        # Freed before the next chunk allocates: kept alive one chunk longer, the uniforms
+        # make malloc map fresh pages every chunk (at 4e6 trials on a 2-core VM, 5.8k minor
+        # faults against 0.1k, about 15% slower).
+        del us
         histogram += np.bincount(4 * row + k, minlength=16)
 
     table = histogram.reshape(4, 4).tolist()

@@ -64,7 +64,8 @@ class SchmidtPair(NamedTuple("SchmidtPair", [("alpha", float), ("beta", float), 
         """Build a pair from raw amplitudes without the canonical-domain check.
 
         Accepts any normalized (alpha, beta), including beta > 0 and
-        |beta| > |alpha|; used for property tests and exploration.
+        |beta| > |alpha|.  The CLI's --alpha/--beta path builds every
+        amplitude pair with it, after renormalizing.
         """
         return cls(alpha, beta, 0.0)._replace(chi=math.atan2(beta, alpha))  # checked before atan2
 

@@ -8,6 +8,7 @@ constants under ``.hypothesis/``, which is git-ignored.
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import pickle
@@ -20,8 +21,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qccsim import __version__, cli
-from qccsim.protocol import AngleSet, exact_success_probability
+from qccsim import __version__, _entry, cli
+from qccsim.protocol import AngleSet, InputPair, exact_success_probability
 from qccsim.state import (
     CHI_DOMAIN_TOL,
     NORM_TOL,
@@ -240,3 +241,90 @@ def test_angle_sets_refuse_non_finite_angles(phi, bad, field, numpy_scalar):
                   lambda: AngleSet(phi, phi)._replace(**{field: bad})):
         with pytest.raises(ValueError, match="^rotation angles must be finite$"):
             build()
+
+
+# --- a grammar fuzz of the command line --------------------------------------
+
+# Edge values: signed zero, the smallest subnormal, the largest floats, just
+# above the largest angle AngleSet takes, integers beyond every float, and text
+# that is not a finite number.  Most flags refuse most of them.
+EDGE_TEXT = ["-0.0", "5e-324", "1e308", "-1e308", "8.98846567431158e307", "1" + "0" * 400,
+             "-1" + "0" * 400, "nan", "inf", "-inf", "abc", ""]
+CHI_TEXT = (["-30", "-45", "-1e-05", "0"], ["10", "-46", *EDGE_TEXT])
+STEPS_TEXT = (["2", "31", "10000"],
+              ["1", "0", "-1", "1000000000000000", "1" + "0" * 30, *EDGE_TEXT])
+# --trials stays at most 10^4: simulate draws every trial it is asked for, so it
+# accepts a huge count (10^30, or the 400-digit integer above) and runs on in flat
+# memory without end; that is a long job, not a refusal to test.
+TRIALS_TEXT = (["1", "100", "10000"], ["0", "-1", *[t for t in EDGE_TEXT if t != "1" + "0" * 400]])
+GRAMMAR = {  # per subcommand, each flag: (required?, (typical values, edge values))
+    "exact": {"--chi": (False, CHI_TEXT), "--alpha": (False, (["0.8", "0.70710678"], EDGE_TEXT)),
+              "--beta": (False, (["-0.6", "-0.70710678"], EDGE_TEXT)),
+              "--phi1": (False, (["0.1", "0"], EDGE_TEXT)),
+              "--phi2": (False, (["-0.3", "0"], EDGE_TEXT))},
+    "optimal": {"--chi": (True, CHI_TEXT)},
+    "sweep": {"--chi-start": (True, CHI_TEXT), "--chi-end": (True, CHI_TEXT),
+              "--steps": (True, STEPS_TEXT)},
+    "simulate": {"--chi": (True, CHI_TEXT), "--trials": (True, TRIALS_TEXT),
+                 "--seed": (False, (["0", "7", "18446744073709551616"], EDGE_TEXT))},
+    "classical": {"--mode": (True, (["simultaneous", "sequential"], EDGE_TEXT))},
+}
+OUTPUT_FLAGS = {"--format": (False, (["text", "json", "csv"], EDGE_TEXT)),
+                "--out": (False, ([str(Path(__file__).resolve().parent)], []))}  # a directory
+
+
+@st.composite
+def command_lines(draw):
+    """``(argv, flags)``: a subcommand and its flags in any order, each with a value
+    from its pools, written as "--flag value" or "--flag=value".  A required flag
+    is left out one time in eight, an optional one half the time, and a value is
+    an edge value one time in four."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    grammar = {**GRAMMAR[command], **OUTPUT_FLAGS}
+    flags = {}
+    for flag in draw(st.permutations(sorted(grammar))):
+        required, (typical, edge) = grammar[flag]
+        if draw(st.integers(0, 7)) > 0 if required else draw(st.booleans()):
+            flags[flag] = draw(st.sampled_from(edge if edge and draw(st.integers(0, 3)) == 0
+                                               else typical))
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv, flags
+
+
+def _refuse_constant(name):
+    pytest.fail(f"non-standard JSON constant {name}")
+
+
+@settings(PROPERTY, max_examples=300)
+@given(line=command_lines())
+# Sizes that once escaped main as an OverflowError traceback, and one that must fail at once.
+@example(line=(["sweep", "--chi-start=-45", "--chi-end=0", "--steps=" + "1" + "0" * 23], {}))
+@example(line=(["sweep", "--chi-start=-45", "--chi-end=0", "--steps=1000000000000000"], {}))
+def test_no_command_line_escapes_the_exit_codes(line):
+    argv, flags = line
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = _entry.main(argv)
+        except SystemExit as exc:  # argparse refuses a usage error by exiting with 2
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    if code in (1, 2):
+        assert stdout.getvalue() == "", argv
+    elif flags.get("--format") == "json" and "--out" not in flags:
+        json.loads(stdout.getvalue(), parse_constant=_refuse_constant)
+
+
+# The numbers of the pools above, and the integers around InputPair's range.
+NUMBERS = [-0.0, 0.0, 5e-324, 1e308, -1e308, 8.98846567431158e307, 10**400, -10**400,
+           math.nan, math.inf, -math.inf, 0.8, -0.6, -1, 0, 3, 4]
+
+
+def test_value_types_refuse_bad_input_with_value_error():
+    for a, b in itertools.product(NUMBERS, repeat=2):
+        for build in (lambda: SchmidtPair(a, b, 0.0), lambda: SchmidtPair.from_amplitudes(a, b),
+                      lambda: AngleSet(a, b), lambda: InputPair(a, b)):
+            with contextlib.suppress(ValueError):
+                build()

@@ -212,11 +212,14 @@ def test_closed_form_symmetric_angles_simplification():
 def test_closed_form_agrees_with_exact_and_brute_force():
     rng = np.random.default_rng(23)
     for _ in range(1000):
-        pair = random_canonical_pair(rng)
+        canonical = random_canonical_pair(rng)
         angles = AngleSet(*rng.uniform(-math.pi, math.pi, size=2))
-        closed = closed_form_p(pair, angles)
-        assert abs(closed - exact_success_probability(pair, angles).total) < 1e-12
-        assert abs(closed - brute_force_total(pair.alpha, pair.beta, *angles)) < 1e-12
+        # The formula holds off the canonical domain too: alpha*beta > 0 as well.
+        flipped = SchmidtPair.from_amplitudes(canonical.alpha, -canonical.beta)
+        for pair in (canonical, flipped):
+            closed = closed_form_p(pair, angles)
+            assert abs(closed - exact_success_probability(pair, angles).total) < 1e-12
+            assert abs(closed - brute_force_total(pair.alpha, pair.beta, *angles)) < 1e-12
 
 
 def test_high_bits_never_affect_success():

@@ -59,11 +59,12 @@ def test_from_amplitudes_rejects_unnormalized():
 
 # An int whose square is beyond every float is refused alike, not with OverflowError.
 @pytest.mark.parametrize("alpha,beta", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0),
-                                        pytest.param(10**200, 0, id="10**200-0")])
+                                        pytest.param(10**200, 0, id="10**200-0"),
+                                        (0.8, -math.inf), (math.inf, math.inf)])
 def test_from_amplitudes_rejects_non_finite(alpha, beta):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^amplitudes not normalized: "):
         SchmidtPair.from_amplitudes(alpha, beta)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^amplitudes not normalized: "):
         SchmidtPair(alpha, beta, 0.0)
 
 
