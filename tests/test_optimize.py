@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qccsim.optimize import _correlation_bound, optimal_closed_form
-from qccsim.protocol import AngleSet, closed_form_p
-from qccsim.state import SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
+from qccsim.protocol import AngleSet, closed_form_p, exact_success_probability
+from qccsim.state import NORM_TOL, SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
 from oracles import angle_digits, decimal_sin, horodecki_bound, optimal_angle_halves
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
@@ -117,6 +117,59 @@ def _numpy_scan_optimum(pair):
                     best, phi1, phi2, moved = cand, phi1 + d1, phi2 + d2, True
         step *= 0.5
     return phi1, phi2, best
+
+
+# The 33-state grid, then seeded chi in [-45, 45] degrees for both signs of alpha*beta.
+_SCAN_CHIS = CHI_GRID + np.random.default_rng(41).uniform(-math.pi / 4, math.pi / 4, 64).tolist()
+# States at the edges of the certificate: at chi = 0 the pair is a product
+# state, and the bound is 3/4.  Elsewhere the three |T_ii| of
+# _correlation_bound tie: for the EPR state (alpha*beta = -1/2), at
+# alpha*beta = +1/2, one ulp above it where the product rounds up, and at
+# alpha = beta on the edge of the normalization tolerance, where they tie above 1.
+_SCAN_EDGES = {
+    "product": SchmidtPair(1.0, 0.0, 0.0),
+    "epr": epr_state(),
+    "ab=+1/2": SchmidtPair.from_amplitudes(0.7071067811865476, 0.7071067811865475),
+    "ab=+1/2+ulp": SchmidtPair.from_amplitudes(math.sqrt(0.5), math.sqrt(0.5)),
+    "ab=(1+tol)/2": SchmidtPair(*[math.sqrt((1.0 + 0.999e-12) / 2.0)] * 2, 0.0),
+}
+_SCAN_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c), c), id=str(c))
+               for c in _SCAN_CHIS]
+_SCAN_PAIRS += [pytest.param(pair, id=name) for name, pair in _SCAN_EDGES.items()]
+
+
+def test_scan_edges_are_as_named():
+    ab = {name: pair.alpha * pair.beta for name, pair in _SCAN_EDGES.items()}
+    assert ab["product"] == 0.0
+    assert ab["epr"] == -0.5000000000000001
+    assert ab["ab=+1/2"] == 0.5 and 1.0 - 2.0 * ab["ab=+1/2"] == 0.0
+    assert 1.0 - 2.0 * ab["ab=+1/2+ulp"] < 0.0
+    assert -NORM_TOL / 8.0 <= (1.0 - 2.0 * ab["ab=(1+tol)/2"]) / 8.0 < -0.99 * NORM_TOL / 8.0
+
+
+@pytest.mark.parametrize("pair", _SCAN_PAIRS)
+def test_numeric_scan_equals_numpy_broadcast_scan(pair):
+    # "numeric" is the numeric_p_max that `qccsim optimal` reports: the Born
+    # value at the closed-form angles.  For alpha*beta <= 0 the numpy scan,
+    # which knows nothing of the maximum, finds it; for alpha*beta > 0 shared
+    # angles reach only 3/4.  Either way the scan never beats the bound.
+    phi1, phi2, best = _numpy_scan_optimum(pair)
+    assert abs(best - exact_success_probability(pair, AngleSet(phi1, phi2)).total) < 1e-12
+    assert best <= _correlation_bound(pair) + 1e-12
+    if pair.alpha * pair.beta <= 0.0:
+        sol = optimal_closed_form(pair)
+        numeric = exact_success_probability(pair, AngleSet(sol.phi1, sol.phi2)).total
+        assert abs(best - numeric) < 1e-9
+    else:
+        assert abs(best - 0.75) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta", [(math.nan, -0.5), (0.8, math.nan), (math.inf, -0.5),
+                                        (0.8, -math.inf), (math.inf, math.inf)])
+def test_numeric_refuses_non_finite_amplitudes(alpha, beta):
+    # The pair refuses them when it is built, so neither optimizer ever sees them.
+    with pytest.raises(ValueError, match="^amplitudes not normalized: "):
+        SchmidtPair(alpha, beta, 0.0)
 
 
 def test_numeric_endpoint_values():
