@@ -17,23 +17,29 @@ import math
 
 import numpy as np
 
-from qccsim import (AngleSet, SchmidtPair, exact_success_probability, make_shared_state,
-                    rotated_amplitudes)
+from qccsim import AngleSet, SchmidtPair, exact_success_probability, make_shared_state
 from qccsim.optimize import _correlation_bound, optimal_closed_form
-
-X0, Y0 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
 
 
 def win_probability(alpha, beta, alice, bob):
     """Mean win over the four (x0, y0) when Alice turns by alice[x0] and Bob by bob[y0].
 
     Each of ``alice`` and ``bob`` is a pair (angle on a low bit of 0, on 1); the
-    angles broadcast, and the result has their shape.
+    angles broadcast, and the result has their shape.  R(a) x R(b) takes
+    alpha|00> + beta|11> to the four amplitudes squared below, in basis order.
     """
-    probs = rotated_amplitudes(alpha, beta, np.where(X0, alice[1][..., None], alice[0][..., None]),
-                               np.where(Y0, bob[1][..., None], bob[0][..., None])) ** 2
-    wins = np.where(X0 & Y0, probs[..., 1] + probs[..., 2], probs[..., 0] + probs[..., 3])
-    return wins.mean(axis=-1)
+    wins = 0.0
+    for x0 in (0, 1):
+        ca, sa = np.cos(alice[x0]), np.sin(alice[x0])
+        for y0 in (0, 1):
+            cb, sb = np.cos(bob[y0]), np.sin(bob[y0])
+            p00 = (alpha * ca * cb + beta * sa * sb) ** 2
+            p01 = (alpha * ca * sb - beta * sa * cb) ** 2
+            p10 = (alpha * sa * cb - beta * ca * sb) ** 2
+            p11 = (alpha * sa * sb + beta * ca * cb) ** 2
+            # a round wins when the outcome parity equals x0 AND y0
+            wins = wins + (p01 + p10 if x0 & y0 else p00 + p11)
+    return wins / 4.0
 
 
 def main():

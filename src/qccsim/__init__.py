@@ -5,10 +5,10 @@ The public names below are loaded on first use (PEP 562); ``qccsim.state``
 and the other submodules load the same way.  No module imports numpy when
 it loads: the exact values, the optimal angles and their certificate, and
 the classical search run in pure Python on Python floats, and numpy is
-imported inside the one vectorized sampler (``monte_carlo``) and the one
-function that returns an ndarray (``rotated_amplitudes``).  So ``python -m qccsim`` loads numpy for
-``simulate`` only.  The command line starts at ``qccsim._entry:run``, as the
-console script and as ``python -m qccsim``; the package itself has no ``run``.
+imported only inside the one vectorized sampler, ``monte_carlo``.  So
+``python -m qccsim`` loads numpy for ``simulate`` only.  The command line
+starts at ``qccsim._entry:run``, as the console script and as
+``python -m qccsim``; the package itself has no ``run``.
 """
 
 import importlib
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _FLOAT = "%.12g"  # how the command line writes a float in text reports and CSV rows
 
 _EXPORTS = {
-    "state": ["SchmidtPair", "epr_state", "make_shared_state", "rotated_amplitudes"],
+    "state": ["SchmidtPair", "epr_state", "make_shared_state"],
     "protocol": ["AngleSet", "InputPair", "MonteCarloResult", "PerInputReport", "Transcript",
                  "closed_form_p", "exact_success_probability", "monte_carlo", "run_once",
                  "target_function"],

@@ -15,7 +15,8 @@ x0 AND y0.  High bits therefore cancel out of the success probability; only
 
 The exact values (``exact_success_probability``, ``closed_form_p`` and the
 CDF edges behind ``run_once``) run in pure Python on Python numbers; numpy
-is imported only by the vectorized sampler ``monte_carlo`` and its helpers.
+is imported only inside the vectorized sampler ``monte_carlo`` and its
+helper ``_input_rows``, the only places in the package that load it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .classical import _target
-from .state import SchmidtPair, _rotate
+from .state import SchmidtPair
 
 if TYPE_CHECKING:
     import numpy as np
@@ -157,13 +158,18 @@ def target_function(inputs: InputPair) -> int:
 def _outcome_table(alpha: float, beta: float, phi1: float, phi2: float) -> list[tuple]:
     """Born probabilities ``table[2*x0 + y0][outcome]``, outcomes in basis order.
 
-    Each party turns by phi1 on a low bit of 0 and by phi2 on 1.
+    Each party turns by phi1 on a low bit of 0 and by phi2 on 1: the
+    package's one rotation, R(phi_a) x R(phi_b) on alpha|00> + beta|11>.
+    Bob's turn acts within each row of the 2x2 coefficient grid (b00..b11),
+    then Alice's across the rows (c00..c11), in this fixed order.
     """
     trig = ((math.cos(phi1), math.sin(phi1)), (math.cos(phi2), math.sin(phi2)))  # by low bit
     table = []
     for ca, sa in trig:  # x0
         for cb, sb in trig:  # y0
-            c00, c01, c10, c11 = _rotate(alpha, beta, ca, sa, cb, sb)
+            b00, b01, b10, b11 = alpha * cb, alpha * sb, -beta * sb, beta * cb
+            c00, c01 = b00 * ca - b10 * sa, b01 * ca - b11 * sa
+            c10, c11 = b00 * sa + b10 * ca, b01 * sa + b11 * ca
             table.append((c00 * c00, c01 * c01, c10 * c10, c11 * c11))
     return table
 

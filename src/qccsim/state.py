@@ -1,8 +1,8 @@
-"""The shared pair and the one rotation kernel applied to it.
+"""The shared pair and the conventions for rotating it.
 
-This module imports no numpy: the kernel ``_rotate`` is plain arithmetic on
-whatever it is given (Python floats or numpy arrays), and only the public
-``rotated_amplitudes``, which returns an ndarray, imports numpy when called.
+The rotation itself is applied in ``protocol._outcome_table``, the one place
+that turns a pair into measurement probabilities.  This module imports no
+numpy; in the whole package numpy loads only inside ``protocol.monte_carlo``.
 
 The shared resource throughout this package is a qubit pair in the state
 alpha|00> + beta|11> with real amplitudes, alpha^2 + beta^2 = 1.  Each party
@@ -25,10 +25,7 @@ on by every other module:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple
 
 NORM_TOL = 1e-12
 CHI_DOMAIN_TOL = 1e-12
@@ -81,8 +78,12 @@ def make_shared_state(chi: float) -> SchmidtPair:
     returned has beta <= 0 and is accepted by every consumer.
     """
     if not (-math.pi / 4 - CHI_DOMAIN_TOL <= chi <= CHI_DOMAIN_TOL):
+        try:
+            degrees = f" ({math.degrees(chi):.12g} deg)"
+        except OverflowError:  # an int beyond every float has no degree value to print
+            degrees = ""
         raise ValueError(
-            f"chi = {chi!r} rad ({math.degrees(chi):.12g} deg) outside the canonical"
+            f"chi = {chi!r} rad{degrees} outside the canonical"
             " domain [-pi/4, 0] rad = [-45, 0] deg (beta <= 0 <= alpha, alpha >= |beta|)"
         )
     return SchmidtPair(math.cos(chi), min(math.sin(chi), 0.0), chi)
@@ -94,33 +95,3 @@ _EPR = SchmidtPair(math.sqrt(0.5), -math.sqrt(0.5), EPR_CHI)
 def epr_state() -> SchmidtPair:
     """The maximally entangled pair (|00> - |11>)/sqrt(2), i.e. chi = -pi/4."""
     return _EPR
-
-
-def _rotate(alpha, beta, ca, sa, cb, sb):
-    """Amplitudes (c00, c01, c10, c11) of R(phi_a) x R(phi_b) on alpha|00> + beta|11>.
-
-    ``ca, sa`` are cos and sin of Alice's angle phi_a, ``cb, sb`` those of
-    Bob's phi_b.  Only arithmetic operators, so it runs on Python floats and
-    broadcasts on numpy arrays alike.  The order is fixed -- Bob's rotation
-    within each row of the 2x2 coefficient grid, then Alice's across the
-    rows -- so equal inputs give bit-identical amplitudes either way.
-    """
-    b00 = alpha * cb
-    b01 = alpha * sb
-    b10 = -beta * sb
-    b11 = beta * cb
-    return b00 * ca - b10 * sa, b01 * ca - b11 * sa, b00 * sa + b10 * ca, b01 * sa + b11 * ca
-
-
-def rotated_amplitudes(alpha, beta, phi_a, phi_b) -> np.ndarray:
-    """Amplitudes of R(phi_a) x R(phi_b) applied to alpha|00> + beta|11>.
-
-    Alice's qubit turns by phi_a, Bob's by phi_b.  Every argument broadcasts
-    (angles are radians) and the result is an ndarray of shape (..., 4), in
-    the basis order |00>, |01>, |10>, |11>, computed by ``_rotate``.
-    """
-    import numpy as np
-
-    return np.stack(
-        _rotate(alpha, beta, np.cos(phi_a), np.sin(phi_a), np.cos(phi_b), np.sin(phi_b)), axis=-1
-    )

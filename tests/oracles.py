@@ -3,6 +3,9 @@
 Deliberately coded apart from the package: rotations are explicit 2x2
 matrices combined with a literal Kronecker product, and success
 probabilities come from enumerating every measurement outcome.
+``four_angle_win`` rotates the 2x2 coefficient matrix of the pair instead,
+R(a) diag(alpha, beta) R(b)^T, so that it broadcasts over the angles of
+strategies where Alice and Bob each pick their own two angles.
 """
 
 import math
@@ -11,15 +14,36 @@ from decimal import Decimal
 import numpy as np
 
 
-def rotation_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+def rotation_matrix(angle) -> np.ndarray:
+    """R(angle) = [[cos, -sin], [sin, cos]], stacked over the shape of ``angle``: (..., 2, 2)."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 def kron_rotate(amplitudes, angle1: float, angle2: float) -> np.ndarray:
     """(R(angle1) x R(angle2)) acting on a length-4 amplitude vector."""
     joint = np.kron(rotation_matrix(angle1), rotation_matrix(angle2))
     return joint @ np.asarray(amplitudes, dtype=float)
+
+
+def four_angle_win(alpha, beta, a0, a1, b0, b1):
+    """Win probability when Alice turns by a0 or a1 on x0 = 0 or 1, and Bob by b0 or b1 on y0.
+
+    The pair alpha|00> + beta|11> has coefficient matrix diag(alpha, beta);
+    A x B maps it to A diag(alpha, beta) B^T, whose entry (i, j) is the
+    amplitude of |ij>.  A round at (x0, y0) wins when the outcome parity
+    i XOR j equals x0 AND y0.  The angles broadcast; the result has their shape.
+    """
+    coefficients = np.diag([alpha, beta])
+    total = 0.0
+    for x0, a in enumerate((a0, a1)):
+        for y0, b in enumerate((b0, b1)):
+            bob_t = np.swapaxes(rotation_matrix(b), -1, -2)
+            probs = (rotation_matrix(a) @ coefficients @ bob_t) ** 2
+            odd = probs[..., 0, 1] + probs[..., 1, 0]
+            even = probs[..., 0, 0] + probs[..., 1, 1]
+            total = total + (odd if x0 & y0 else even)
+    return total / 4.0
 
 
 def brute_force_total(alpha: float, beta: float, phi1: float, phi2: float) -> float:

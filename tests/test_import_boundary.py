@@ -4,9 +4,12 @@ A bare ``import qccsim`` and every subcommand but ``simulate`` -- refusals
 included -- must not load numpy; ``simulate`` must.  Text and CSV output
 load neither ``json`` nor ``fractions``.  ``import qccsim.cli``
 loads every layer module (the benchmark's tracer reads them from
-``sys.modules`` after that one import).
+``sys.modules`` after that one import).  In the source, numpy is imported
+only inside ``protocol.monte_carlo`` and its helper ``protocol._input_rows``,
+or for type checking.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -20,7 +23,7 @@ import qccsim
 SRC = Path(__file__).resolve().parent.parent / "src"
 LAYERS = ("state", "protocol", "optimize", "classical", "concentration", "cli")
 PUBLIC = {
-    "state": ["SchmidtPair", "epr_state", "make_shared_state", "rotated_amplitudes"],
+    "state": ["SchmidtPair", "epr_state", "make_shared_state"],
     "protocol": ["AngleSet", "InputPair", "MonteCarloResult", "PerInputReport", "Transcript",
                  "closed_form_p", "exact_success_probability", "monte_carlo", "run_once",
                  "target_function"],
@@ -30,6 +33,10 @@ PUBLIC = {
     "concentration": ["concentration_strategy_value", "concentration_success_probability",
                       "simulate_concentration_run"],
 }
+
+
+# (module, top-level function) where the package may import numpy
+NUMPY_HOMES = {("protocol", "monte_carlo"), ("protocol", "_input_rows")}
 
 
 def _python(*args, code=0):
@@ -88,6 +95,34 @@ def test_text_output_loads_neither_json_nor_fractions(args):
 def test_simulate_imports_numpy():
     proc = _python("-X", "importtime", "-m", "qccsim", "simulate", "--chi", "-30", "--trials", "10")
     assert "numpy" in _numpy(_imported(proc.stderr))
+
+
+def _numpy_imports(tree):
+    """(line, enclosing top-level function or None) of each numpy import not for type checking."""
+    for top in tree.body:
+        function = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        statements = [top]
+        if isinstance(top, ast.If) and ast.unparse(top.test) in ("TYPE_CHECKING",
+                                                                "typing.TYPE_CHECKING"):
+            statements = top.orelse
+        for node in (node for statement in statements for node in ast.walk(statement)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                yield node.lineno, function
+
+
+def test_numpy_is_imported_only_inside_the_sampler():
+    homes = set()
+    for path in sorted((SRC / "qccsim").glob("*.py")):
+        for line, function in _numpy_imports(ast.parse(path.read_text())):
+            assert (path.stem, function) in NUMPY_HOMES, f"{path.name}:{line}"
+            homes.add((path.stem, function))
+    assert ("protocol", "monte_carlo") in homes  # the walk does see the sampler's import
 
 
 def test_cli_module_imports_every_layer():

@@ -7,30 +7,18 @@ import pytest
 
 from qccsim.optimize import _correlation_bound, optimal_closed_form
 from qccsim.protocol import AngleSet, closed_form_p, exact_success_probability
-from qccsim.state import NORM_TOL, SchmidtPair, epr_state, make_shared_state, rotated_amplitudes
-from oracles import angle_digits, decimal_sin, horodecki_bound, optimal_angle_halves
+from qccsim.state import NORM_TOL, SchmidtPair, epr_state, make_shared_state
+from oracles import (angle_digits, brute_force_total, decimal_sin, four_angle_win,
+                     horodecki_bound, optimal_angle_halves)
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 CHI_GRID = [float(c) for c in np.linspace(-math.pi / 4, 0.0, 33)]
 # Both signs of alpha*beta: chi > 0 gives alpha*beta > 0.
 SIGNED_CHI_GRID = [float(c) for c in np.linspace(-math.pi / 4, math.pi / 4, 17)]
-_X0, _Y0 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
 
 
 def _p_max(alpha, beta):
     return 0.5 + math.sqrt(1.0 + 4.0 * (alpha * beta) ** 2) / 4.0
-
-
-def _four_angle_win(alpha, beta, a0, a1, b0, b1):
-    """Win probability when Alice turns by a0 or a1 on x0 = 0 or 1, and Bob by b0 or b1 on y0.
-
-    The angles broadcast; the result has their shape.
-    """
-    phi_a = np.where(_X0, np.asarray(a1)[..., None], np.asarray(a0)[..., None])
-    phi_b = np.where(_Y0, np.asarray(b1)[..., None], np.asarray(b0)[..., None])
-    probs = rotated_amplitudes(alpha, beta, phi_a, phi_b) ** 2  # [..., 2*x0 + y0, outcome]
-    wins = np.where(_X0 & _Y0, probs[..., 1] + probs[..., 2], probs[..., 0] + probs[..., 3])
-    return wins.mean(axis=-1)
 
 
 def test_epr_solution_reproduces_known_angles():
@@ -190,7 +178,7 @@ def test_numeric_accepts_positive_product():
         assert abs(p - 0.75) < 1e-12
 
         sol = optimal_closed_form(SchmidtPair.from_amplitudes(alpha, -beta))
-        relabeled = _four_angle_win(alpha, beta, sol.phi1, sol.phi2, -sol.phi1, -sol.phi2)
+        relabeled = four_angle_win(alpha, beta, sol.phi1, sol.phi2, -sol.phi1, -sol.phi2)
         assert abs(relabeled - _p_max(alpha, beta)) < 1e-12
 
 
@@ -233,10 +221,17 @@ def test_random_four_angle_strategies_never_beat_the_certificate():
     for chi in SIGNED_CHI_GRID:
         alpha, beta = math.cos(chi), math.sin(chi)
         a0, a1, b0, b1 = rng.uniform(-math.pi, math.pi, size=(4, 10_000))
-        wins = _four_angle_win(alpha, beta, a0, a1, b0, b1)
+        wins = four_angle_win(alpha, beta, a0, a1, b0, b1)
         bound = horodecki_bound(alpha, beta)
         assert wins.max() <= bound + 1e-12
         assert wins.max() >= bound - 5e-3  # the bound is nearly reached at either sign
+    # With angles shared by both parties, the two oracles agree.
+    for chi in SIGNED_CHI_GRID:
+        alpha, beta = math.cos(chi), math.sin(chi)
+        phi1, phi2 = rng.uniform(-math.pi, math.pi, size=(2, 20))
+        shared = four_angle_win(alpha, beta, phi1, phi2, phi1, phi2)
+        for got, p1, p2 in zip(shared.tolist(), phi1.tolist(), phi2.tolist()):
+            assert abs(got - brute_force_total(alpha, beta, p1, p2)) <= 1e-12
 
 
 def test_symmetric_optimum_reaches_the_certificate():
@@ -247,7 +242,7 @@ def test_symmetric_optimum_reaches_the_certificate():
         sol = optimal_closed_form(pair)
         bound = horodecki_bound(pair.alpha, pair.beta)
         assert abs(sol.p_max - bound) <= 1e-12
-        shared = _four_angle_win(pair.alpha, pair.beta, sol.phi1, sol.phi2, sol.phi1, sol.phi2)
+        shared = four_angle_win(pair.alpha, pair.beta, sol.phi1, sol.phi2, sol.phi1, sol.phi2)
         assert abs(shared - bound) <= 1e-12
 
 

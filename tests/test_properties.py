@@ -22,15 +22,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qccsim import __version__, _entry, cli
-from qccsim.protocol import AngleSet, InputPair, exact_success_probability
-from qccsim.state import (
-    CHI_DOMAIN_TOL,
-    NORM_TOL,
-    SchmidtPair,
-    epr_state,
-    make_shared_state,
-    rotated_amplitudes,
-)
+from qccsim.protocol import AngleSet, InputPair, _outcome_table, exact_success_probability
+from qccsim.state import CHI_DOMAIN_TOL, NORM_TOL, SchmidtPair, epr_state, make_shared_state
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -185,9 +178,9 @@ def test_sweep_json_refuses_non_finite_before_writing(records, data, bad):
 @PROPERTY
 @given(theta=angle, phi_a=angle, phi_b=angle)
 def test_rotated_probabilities_sum_to_one(theta, phi_a, phi_b):
-    # any real normalized pair, not only the canonical domain
-    amps = rotated_amplitudes(math.cos(theta), math.sin(theta), phi_a, phi_b)
-    assert abs(np.sum(amps**2) - 1.0) < 1e-12
+    # any real normalized pair, not only the canonical domain; every row of the Born table
+    for row in _outcome_table(math.cos(theta), math.sin(theta), phi_a, phi_b):
+        assert abs(math.fsum(row) - 1.0) < 1e-12
 
 
 @PROPERTY
@@ -325,6 +318,7 @@ NUMBERS = [-0.0, 0.0, 5e-324, 1e308, -1e308, 8.98846567431158e307, 10**400, -10*
 def test_value_types_refuse_bad_input_with_value_error():
     for a, b in itertools.product(NUMBERS, repeat=2):
         for build in (lambda: SchmidtPair(a, b, 0.0), lambda: SchmidtPair.from_amplitudes(a, b),
-                      lambda: AngleSet(a, b), lambda: InputPair(a, b)):
+                      lambda: AngleSet(a, b), lambda: InputPair(a, b),
+                      lambda: make_shared_state(a)):
             with contextlib.suppress(ValueError):
                 build()
