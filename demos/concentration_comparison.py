@@ -20,13 +20,13 @@ def main():
     print(" beta^2 |  direct   concentrate   gap")
     print("--------+------------------------------")
     for beta_sq in np.linspace(0.0, 0.5, 11):
-        pair = SchmidtPair.from_amplitudes(math.sqrt(1.0 - beta_sq), -math.sqrt(beta_sq))
+        pair = SchmidtPair(math.sqrt(1.0 - beta_sq), -math.sqrt(beta_sq))
         direct = optimal_closed_form(pair).p_max
         conc = concentration_strategy_value(pair)
         print(f"  {beta_sq:.3f} | {direct:.6f}  {conc:.6f}   {direct - conc:.6f}")
 
     # Sampled sanity check at beta^2 = 1/4.
-    pair = SchmidtPair.from_amplitudes(math.sqrt(0.75), -0.5)
+    pair = SchmidtPair(math.sqrt(0.75), -0.5)
     rng = np.random.default_rng(7)
     runs = 20_000
     wins = sum(simulate_concentration_run(pair, InputPair(x, y), rng).success

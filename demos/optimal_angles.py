@@ -61,7 +61,7 @@ def main():
     for chi_deg in (11.25, 22.5, 45.0):
         alpha, beta = math.cos(math.radians(chi_deg)), math.sin(math.radians(chi_deg))
         best = win_probability(alpha, beta, shared, shared).max()
-        sol = optimal_closed_form(SchmidtPair.from_amplitudes(alpha, -beta))
+        sol = optimal_closed_form(SchmidtPair(alpha, -beta))
         angles = (np.array(sol.phi1), np.array(sol.phi2))
         mirrored = win_probability(alpha, beta, angles, (-angles[0], -angles[1]))
         print(

@@ -31,32 +31,35 @@ OPTIMAL_DISCREPANCY_LIMIT = 1e-6
 AMPLITUDE_NORM_TOL = 1e-4
 
 
-def _pair_from_flags(chi_deg: float | None, alpha: float | None, beta: float | None) -> SchmidtPair:
-    has_amps = alpha is not None or beta is not None
-    if (chi_deg is None) == (not has_amps):
+def _state(args: argparse.Namespace) -> tuple[float, SchmidtPair]:
+    """The state angle chi (radians) and the pair, from --chi or --alpha/--beta."""
+    alpha, beta = getattr(args, "alpha", None), getattr(args, "beta", None)
+    if (args.chi is None) == (alpha is None and beta is None):
         raise ValueError("give exactly one of --chi or the pair --alpha/--beta")
-    if chi_deg is not None:
-        return make_shared_state(math.radians(chi_deg))
+    if args.chi is not None:
+        chi = math.radians(args.chi)
+        return chi, make_shared_state(chi)
     if alpha is None or beta is None:
         raise ValueError("--alpha and --beta must be given together")
     norm = math.hypot(alpha, beta)
     if abs(norm * norm - 1.0) > AMPLITUDE_NORM_TOL:
         raise ValueError(f"amplitudes not normalized: alpha^2+beta^2 = {norm * norm!r}")
-    pair = SchmidtPair.from_amplitudes(alpha / norm, beta / norm)
-    make_shared_state(pair.chi)  # called for its canonical-domain check only
-    return pair
+    pair = SchmidtPair(alpha / norm, beta / norm)
+    chi = math.atan2(pair.beta, pair.alpha)
+    make_shared_state(chi)  # called for its canonical-domain check only
+    return chi, pair
 
 
 # --------------------------------------------------------------------------- exact
 
 
 def cmd_exact(args: argparse.Namespace) -> None:
-    pair = _pair_from_flags(args.chi, args.alpha, args.beta)
+    chi, pair = _state(args)
     angles = AngleSet(args.phi1, args.phi2)
     report = exact_success_probability(pair, angles)
     closed = closed_form_p(pair, angles)
     fields = [
-        ("chi_deg", math.degrees(pair.chi)),
+        ("chi_deg", math.degrees(chi)),
         ("alpha", pair.alpha),
         ("beta", pair.beta),
         ("phi1", angles.phi1),
@@ -76,12 +79,12 @@ def cmd_exact(args: argparse.Namespace) -> None:
 
 
 def cmd_optimal(args: argparse.Namespace) -> None:
-    pair = make_shared_state(math.radians(args.chi))
+    chi, pair = _state(args)
     sol = optimal_closed_form(pair)
     born = exact_success_probability(pair, AngleSet(sol.phi1, sol.phi2)).total
     discrepancy = abs(sol.p_max - born)
     fields = [
-        ("chi_deg", math.degrees(pair.chi)),
+        ("chi_deg", math.degrees(chi)),
         ("alpha", pair.alpha),
         ("beta", pair.beta),
         ("phi1", sol.phi1),
@@ -138,10 +141,10 @@ def sweep_records(chis: list[float]) -> list[SweepRecord]:
         sol = optimal_closed_form(pair)
         report = exact_success_probability(pair, AngleSet(sol.phi1, sol.phi2))
         records.append(SweepRecord(
-            chi_deg=math.degrees(pair.chi),
+            chi_deg=math.degrees(chi),
             alpha=pair.alpha,
             beta=pair.beta,
-            epsilon=abs(math.tan(pair.chi)),
+            epsilon=abs(math.tan(chi)),
             phi1=sol.phi1,
             phi2=sol.phi2,
             p_max=sol.p_max,
@@ -196,7 +199,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:
-    pair = make_shared_state(math.radians(args.chi))
+    chi, pair = _state(args)
     sol = optimal_closed_form(pair)
     result = monte_carlo(pair, AngleSet(sol.phi1, sol.phi2), args.trials, args.seed)
     if result.std_error > 0.0:
@@ -204,7 +207,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     else:
         z_score = 0.0 if result.estimate == sol.p_max else math.inf
     fields = [
-        ("chi_deg", math.degrees(pair.chi)),
+        ("chi_deg", math.degrees(chi)),
         ("trials", args.trials),
         ("seed", args.seed),
         ("phi1", sol.phi1),

@@ -279,6 +279,7 @@ def monte_carlo(
     arrays are big enough that malloc hands their pages back to the kernel
     between chunks, so every chunk faults them in again.
     """
+    trials = operator.index(trials)  # a numpy integer would overflow in ``advance``
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:

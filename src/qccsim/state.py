@@ -17,9 +17,9 @@ on by every other module:
 * basis order |00>, |01>, |10>, |11>;
 * the first tensor slot is Alice's qubit, the second is Bob's;
 * R(t)|0> = cos(t)|0> + sin(t)|1> (the first column of the matrix above);
-* the canonical shared states are parameterized by an angle chi in
-  [-pi/4, 0] with alpha = cos(chi), beta = sin(chi), so alpha >= |beta|
-  and beta <= 0.
+* a pair is its two amplitudes; the angle chi only parameterizes the
+  canonical family built by ``make_shared_state``: chi in [-pi/4, 0] with
+  alpha = cos(chi), beta = sin(chi), so alpha >= |beta| and beta <= 0.
 """
 
 from __future__ import annotations
@@ -29,20 +29,19 @@ from typing import NamedTuple
 
 NORM_TOL = 1e-12
 CHI_DOMAIN_TOL = 1e-12
-EPR_CHI = -math.pi / 4
 
 
-class SchmidtPair(NamedTuple("SchmidtPair", [("alpha", float), ("beta", float), ("chi", float)])):
+class SchmidtPair(NamedTuple("SchmidtPair", [("alpha", float), ("beta", float)])):
     """Amplitudes (alpha, beta) of the shared state alpha|00> + beta|11>.
 
-    ``chi`` is the angle parameterization with alpha = cos(chi) and
-    beta = sin(chi); it is carried along for reporting.  However a pair is
-    built, alpha^2 + beta^2 off 1 by more than NORM_TOL raises ValueError.
+    Any normalized real pair is accepted, including beta > 0 and
+    |beta| > |alpha|.  However a pair is built, alpha^2 + beta^2 off 1 by
+    more than NORM_TOL raises ValueError.
     """
 
     __slots__ = ()
 
-    def __new__(cls, alpha: float, beta: float, chi: float) -> "SchmidtPair":
+    def __new__(cls, alpha: float, beta: float) -> "SchmidtPair":
         try:
             norm = alpha * alpha + beta * beta
             off = abs(norm - 1.0)
@@ -50,27 +49,17 @@ class SchmidtPair(NamedTuple("SchmidtPair", [("alpha", float), ("beta", float), 
             norm = off = math.inf
         if not off <= NORM_TOL:  # written so that a NaN or infinite norm fails too
             raise ValueError(f"amplitudes not normalized: alpha^2+beta^2 = {norm!r}")
-        return super().__new__(cls, alpha, beta, chi)
+        return super().__new__(cls, alpha, beta)
 
     @classmethod
     def _make(cls, iterable) -> "SchmidtPair":
         return cls(*iterable)  # so that _replace checks too
 
-    @classmethod
-    def from_amplitudes(cls, alpha: float, beta: float) -> "SchmidtPair":
-        """Build a pair from raw amplitudes without the canonical-domain check.
-
-        Accepts any normalized (alpha, beta), including beta > 0 and
-        |beta| > |alpha|.  The CLI's --alpha/--beta path builds every
-        amplitude pair with it, after renormalizing.
-        """
-        return cls(alpha, beta, 0.0)._replace(chi=math.atan2(beta, alpha))  # checked before atan2
-
 
 def make_shared_state(chi: float) -> SchmidtPair:
     """Construct the canonical shared state for an angle chi in [-pi/4, 0].
 
-    Returns (cos chi, sin chi, chi).  chi = 0 is the unentangled product
+    Returns (cos chi, sin chi).  chi = 0 is the unentangled product
     state |00>; chi = -pi/4 is the maximally entangled endpoint.  Values
     outside the canonical interval (beyond a 1e-12 tolerance) raise
     ValueError rather than being clamped or normalized.  Inside the
@@ -86,10 +75,10 @@ def make_shared_state(chi: float) -> SchmidtPair:
             f"chi = {chi!r} rad{degrees} outside the canonical"
             " domain [-pi/4, 0] rad = [-45, 0] deg (beta <= 0 <= alpha, alpha >= |beta|)"
         )
-    return SchmidtPair(math.cos(chi), min(math.sin(chi), 0.0), chi)
+    return SchmidtPair(math.cos(chi), min(math.sin(chi), 0.0))
 
 
-_EPR = SchmidtPair(math.sqrt(0.5), -math.sqrt(0.5), EPR_CHI)
+_EPR = SchmidtPair(math.sqrt(0.5), -math.sqrt(0.5))
 
 
 def epr_state() -> SchmidtPair:

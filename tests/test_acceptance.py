@@ -114,7 +114,7 @@ def test_c07_concentration_strategy_is_dominated():
     target = [epr.alpha, 0.0, 0.0, epr.beta]
     ok = True
     for beta_sq in np.linspace(0.0, 0.5, 101):
-        pair = SchmidtPair.from_amplitudes(math.sqrt(1.0 - beta_sq), -math.sqrt(beta_sq))
+        pair = SchmidtPair(math.sqrt(1.0 - beta_sq), -math.sqrt(beta_sq))
         psi = np.array([pair.alpha, 0.0, 0.0, pair.beta])
         filtered = procrustean_filter(pair.alpha, pair.beta)[0] @ psi
         coin = concentration_success_probability(pair)
@@ -125,7 +125,7 @@ def test_c07_concentration_strategy_is_dominated():
         ok &= concentrated <= direct + 1e-12
         if beta_sq in (0.0, 0.5):
             ok &= abs(concentrated - direct) < 1e-12
-    quarter = SchmidtPair.from_amplitudes(math.sqrt(0.75), -0.5)
+    quarter = SchmidtPair(math.sqrt(0.75), -0.5)
     gap = optimal_closed_form(quarter).p_max - concentration_strategy_value(quarter)
     ok &= gap > 1e-4
     ok &= abs(gap - 0.028942218586436974) < 1e-12

@@ -19,17 +19,17 @@ SLOPE = 2.0 * COS2_PI8 - 1.5
 
 
 def pair_for_beta_sq(beta_sq: float) -> SchmidtPair:
-    return SchmidtPair.from_amplitudes(math.sqrt(1.0 - beta_sq), -math.sqrt(beta_sq))
+    return SchmidtPair(math.sqrt(1.0 - beta_sq), -math.sqrt(beta_sq))
 
 
 def test_success_probability_values():
-    assert concentration_success_probability(SchmidtPair(1.0, 0.0, 0.0)) == 0.0
+    assert concentration_success_probability(SchmidtPair(1.0, 0.0)) == 0.0
     assert concentration_success_probability(epr_state()) == 1.0
     assert concentration_success_probability(pair_for_beta_sq(0.25)) == 0.5
 
 
 def test_strategy_value_endpoints():
-    assert concentration_strategy_value(SchmidtPair(1.0, 0.0, 0.0)) == 0.75
+    assert concentration_strategy_value(SchmidtPair(1.0, 0.0)) == 0.75
     assert abs(concentration_strategy_value(epr_state()) - COS2_PI8) < 1e-12
 
 
@@ -115,7 +115,7 @@ def test_vidal_bound_is_the_coin():
 def test_non_finite_beta_is_refused(beta):
     # Even built raw, the pair refuses it, so no concentration function ever sees it.
     with pytest.raises(ValueError, match="^amplitudes not normalized: "):
-        SchmidtPair(0.8, beta, 0.0)
+        SchmidtPair(0.8, beta)
 
 
 def _gap(pair: SchmidtPair) -> float:
@@ -147,7 +147,7 @@ def test_slopes_at_the_ends_of_the_gap(beta_sq, step, direct_slope):
 def test_coin_draws_one_uniform_then_one_per_measurement():
     # The product state never distills (coin only), the EPR state always does
     # (coin, then run_once's measurement); a twin generator counts the draws.
-    for pair, draws in ((SchmidtPair(1.0, 0.0, 0.0), 1), (epr_state(), 2)):
+    for pair, draws in ((SchmidtPair(1.0, 0.0), 1), (epr_state(), 2)):
         rng, twin = np.random.default_rng(1), np.random.default_rng(1)
         for i in range(200):
             simulate_concentration_run(pair, InputPair(i % 4, i % 3), rng)
@@ -159,7 +159,7 @@ def test_fallback_transcript_is_the_classical_baseline():
     rng = np.random.default_rng(2)
     for x in range(4):
         for y in range(4):
-            t = simulate_concentration_run(SchmidtPair(1.0, 0.0, 0.0), InputPair(x, y), rng)
+            t = simulate_concentration_run(SchmidtPair(1.0, 0.0), InputPair(x, y), rng)
             run = run_protocol(baseline_protocol(), x, y)
             assert (t.msg_alice, t.msg_bob, t.out_alice, t.out_bob) == run
             assert t.success == (run.out_alice == run.out_bob == target_function(t.inputs))
@@ -167,7 +167,7 @@ def test_fallback_transcript_is_the_classical_baseline():
 
 def test_simulation_classical_branch_is_the_baseline():
     rng = np.random.default_rng(3)
-    pair = SchmidtPair(1.0, 0.0, 0.0)
+    pair = SchmidtPair(1.0, 0.0)
     for x in range(4):
         for y in range(4):
             t = simulate_concentration_run(pair, InputPair(x, y), rng)

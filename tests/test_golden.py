@@ -69,7 +69,7 @@ def capture() -> dict:
         },
         "concentration": {
             "beta^2=1/4": _concentration_rounds(
-                SchmidtPair.from_amplitudes(math.sqrt(0.75), -math.sqrt(0.25)), 406
+                SchmidtPair(math.sqrt(0.75), -math.sqrt(0.25)), 406
             ),
             "product": _concentration_rounds(make_shared_state(0.0), 407),
             "epr": _concentration_rounds(epr_state(), 408),
@@ -86,13 +86,13 @@ def capture() -> dict:
             **{f"chi=-0.5 trials={n}": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4),
                                                n, 13) for n in (1, 2, 3)},
             # alpha*beta > 0, one trial past 2^16 (a whole number of chunks)
-            "ab>0 2^16+1": _counts(SchmidtPair.from_amplitudes(0.8, 0.6), AngleSet(0.3, -1.1),
+            "ab>0 2^16+1": _counts(SchmidtPair(0.8, 0.6), AngleSet(0.3, -1.1),
                                    2**16 + 1, 14),
             "epr seed=2^40+3": _counts(epr_state(), EPR_ANGLES, 30_000, 2**40 + 3),
             # one trial short of, just past, and well past a 2^14-trial chunk
             "chi=-0.5 2^14-1": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4),
                                        2**14 - 1, 15),
-            "ab>0 2^14+1": _counts(SchmidtPair.from_amplitudes(0.8, 0.6), AngleSet(0.3, -1.1),
+            "ab>0 2^14+1": _counts(SchmidtPair(0.8, 0.6), AngleSet(0.3, -1.1),
                                    2**14 + 1, 16),
             "epr 5*2^14+3": _counts(epr_state(), EPR_ANGLES, 5 * 2**14 + 3, 17),
         },

@@ -30,7 +30,7 @@ def test_epr_solution_reproduces_known_angles():
 
 
 def test_product_state_solution():
-    sol = optimal_closed_form(SchmidtPair(1.0, 0.0, 0.0))
+    sol = optimal_closed_form(SchmidtPair(1.0, 0.0))
     assert sol.t == 0.0
     assert sol.phi1 == 0.0 and sol.phi2 == 0.0
     assert sol.p_max == 0.75
@@ -38,7 +38,7 @@ def test_product_state_solution():
 
 def test_intermediate_solution_value():
     # alpha*beta = -0.3, so p_max = 1/2 + sqrt(1.36)/4
-    pair = SchmidtPair.from_amplitudes(math.sqrt(0.9), -math.sqrt(0.1))
+    pair = SchmidtPair(math.sqrt(0.9), -math.sqrt(0.1))
     sol = optimal_closed_form(pair)
     assert abs(sol.p_max - 0.79154759474226499) < 1e-12
     assert abs(closed_form_p(pair, AngleSet(sol.phi1, sol.phi2)) - sol.p_max) < 1e-9
@@ -62,7 +62,7 @@ def test_closed_form_angles_achieve_p_max_on_grid():
 
 
 def test_positive_product_rejected_by_closed_form():
-    pair = SchmidtPair.from_amplitudes(0.8, 0.6)
+    pair = SchmidtPair(0.8, 0.6)
     with pytest.raises(ValueError):
         optimal_closed_form(pair)
 
@@ -115,13 +115,13 @@ _SCAN_CHIS = CHI_GRID + np.random.default_rng(41).uniform(-math.pi / 4, math.pi 
 # alpha*beta = +1/2, one ulp above it where the product rounds up, and at
 # alpha = beta on the edge of the normalization tolerance, where they tie above 1.
 _SCAN_EDGES = {
-    "product": SchmidtPair(1.0, 0.0, 0.0),
+    "product": SchmidtPair(1.0, 0.0),
     "epr": epr_state(),
-    "ab=+1/2": SchmidtPair.from_amplitudes(0.7071067811865476, 0.7071067811865475),
-    "ab=+1/2+ulp": SchmidtPair.from_amplitudes(math.sqrt(0.5), math.sqrt(0.5)),
-    "ab=(1+tol)/2": SchmidtPair(*[math.sqrt((1.0 + 0.999e-12) / 2.0)] * 2, 0.0),
+    "ab=+1/2": SchmidtPair(0.7071067811865476, 0.7071067811865475),
+    "ab=+1/2+ulp": SchmidtPair(math.sqrt(0.5), math.sqrt(0.5)),
+    "ab=(1+tol)/2": SchmidtPair(*[math.sqrt((1.0 + 0.999e-12) / 2.0)] * 2),
 }
-_SCAN_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c), c), id=str(c))
+_SCAN_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c)), id=str(c))
                for c in _SCAN_CHIS]
 _SCAN_PAIRS += [pytest.param(pair, id=name) for name, pair in _SCAN_EDGES.items()]
 
@@ -157,11 +157,11 @@ def test_numeric_scan_equals_numpy_broadcast_scan(pair):
 def test_numeric_refuses_non_finite_amplitudes(alpha, beta):
     # The pair refuses them when it is built, so neither optimizer ever sees them.
     with pytest.raises(ValueError, match="^amplitudes not normalized: "):
-        SchmidtPair(alpha, beta, 0.0)
+        SchmidtPair(alpha, beta)
 
 
 def test_numeric_endpoint_values():
-    assert abs(_numpy_scan_optimum(SchmidtPair(1.0, 0.0, 0.0))[2] - 0.75) < 1e-9
+    assert abs(_numpy_scan_optimum(SchmidtPair(1.0, 0.0))[2] - 0.75) < 1e-9
     assert abs(_numpy_scan_optimum(epr_state())[2] - COS2_PI8) < 1e-9
 
 
@@ -172,12 +172,12 @@ def test_numeric_accepts_positive_product():
     # beta, and Z R(t) Z = R(-t).
     for chi_deg in (11.25, 22.5, 45.0):
         alpha, beta = math.cos(math.radians(chi_deg)), math.sin(math.radians(chi_deg))
-        pair = SchmidtPair.from_amplitudes(alpha, beta)
+        pair = SchmidtPair(alpha, beta)
         phi1, phi2, p = _numpy_scan_optimum(pair)
         assert abs(p - closed_form_p(pair, AngleSet(phi1, phi2))) < 1e-12
         assert abs(p - 0.75) < 1e-12
 
-        sol = optimal_closed_form(SchmidtPair.from_amplitudes(alpha, -beta))
+        sol = optimal_closed_form(SchmidtPair(alpha, -beta))
         relabeled = four_angle_win(alpha, beta, sol.phi1, sol.phi2, -sol.phi1, -sol.phi2)
         assert abs(relabeled - _p_max(alpha, beta)) < 1e-12
 
@@ -188,7 +188,7 @@ def test_horodecki_certificate_equals_p_max(chi):
     assert abs(horodecki_bound(alpha, beta) - _p_max(alpha, beta)) <= 1e-12
     # The package's bound writes the correlation matrix out from the amplitudes;
     # the oracle builds it from Pauli matrices and takes its singular values.
-    pair = SchmidtPair.from_amplitudes(alpha, beta)
+    pair = SchmidtPair(alpha, beta)
     assert abs(_correlation_bound(pair) - horodecki_bound(alpha, beta)) <= 1e-15
 
 

@@ -199,10 +199,13 @@ def test_exact_success_probability_has_period_pi_in_each_angle(chi, phi1, phi2):
 @given(chi=st.floats(-math.pi / 4 - CHI_DOMAIN_TOL, CHI_DOMAIN_TOL),
        t=st.floats(allow_nan=False, allow_infinity=False))
 def test_built_pairs_are_normalized(chi, t):
-    for pair in (make_shared_state(chi), SchmidtPair.from_amplitudes(math.cos(t), math.sin(t)),
+    for pair in (make_shared_state(chi), SchmidtPair(math.cos(t), math.sin(t)),
                  epr_state()):
         assert abs(pair.alpha * pair.alpha + pair.beta * pair.beta - 1.0) <= NORM_TOL
         assert pickle.loads(pickle.dumps(pair)) == pair  # unpickling builds it again
+    # A pair is its amplitudes: built by angle or by amplitudes, it is one value.
+    built, raw = make_shared_state(chi), SchmidtPair(math.cos(chi), min(math.sin(chi), 0.0))
+    assert built == raw and hash(built) == hash(raw)
 
 
 @PROPERTY
@@ -214,10 +217,9 @@ def test_built_pairs_are_normalized(chi, t):
 def test_pairs_off_the_unit_circle_are_refused(alpha, beta):
     assume(not abs(alpha * alpha + beta * beta - 1.0) <= NORM_TOL)
     valid = epr_state()
-    for build in (lambda: SchmidtPair(alpha, beta, 0.0),
-                  lambda: SchmidtPair._make([alpha, beta, 0.0]),
-                  lambda: valid._replace(alpha=alpha, beta=beta),
-                  lambda: SchmidtPair.from_amplitudes(alpha, beta)):
+    for build in (lambda: SchmidtPair(alpha, beta),
+                  lambda: SchmidtPair._make([alpha, beta]),
+                  lambda: valid._replace(alpha=alpha, beta=beta)):
         with pytest.raises(ValueError, match="^amplitudes not normalized: "):
             build()
 
@@ -317,8 +319,7 @@ NUMBERS = [-0.0, 0.0, 5e-324, 1e308, -1e308, 8.98846567431158e307, 10**400, -10*
 
 def test_value_types_refuse_bad_input_with_value_error():
     for a, b in itertools.product(NUMBERS, repeat=2):
-        for build in (lambda: SchmidtPair(a, b, 0.0), lambda: SchmidtPair.from_amplitudes(a, b),
-                      lambda: AngleSet(a, b), lambda: InputPair(a, b),
+        for build in (lambda: SchmidtPair(a, b), lambda: AngleSet(a, b), lambda: InputPair(a, b),
                       lambda: make_shared_state(a)):
             with contextlib.suppress(ValueError):
                 build()

@@ -66,9 +66,9 @@ def test_input_pairs_accept_integers_0_to_3():
 def test_phi1_turns_a_low_bit_of_0_and_phi2_a_low_bit_of_1():
     # On |00>, phi1 must turn a party whose low bit is 0 and phi2 one whose
     # low bit is 1: only Bob turns (by pi/4) at (0, 1), only Alice at (1, 0).
-    report = exact_success_probability(SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, math.pi / 4))
+    report = exact_success_probability(SchmidtPair(1.0, 0.0), AngleSet(0.0, math.pi / 4))
     np.testing.assert_allclose(report[:4], (1.0, 0.5, 0.5, 0.5), atol=1e-12)
-    report = exact_success_probability(SchmidtPair(1.0, 0.0, 0.0), AngleSet(math.pi / 4, 0.0))
+    report = exact_success_probability(SchmidtPair(1.0, 0.0), AngleSet(math.pi / 4, 0.0))
     np.testing.assert_allclose(report[:4], (0.5, 0.5, 0.5, 0.0), atol=1e-12)
 
 
@@ -83,7 +83,7 @@ def test_per_input_success_epr_values():
 
 def test_per_input_success_unrotated_product_state():
     # state stays |00>, but input 11 needs odd outcome parity
-    assert exact_success_probability(SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, 0.0)).p11 == 0.0
+    assert exact_success_probability(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0)).p11 == 0.0
 
 
 # Raw fields, not built values: a pair or angle set refuses them when it is built,
@@ -91,10 +91,10 @@ def test_per_input_success_unrotated_product_state():
 @pytest.mark.parametrize(
     "pair,angles",
     [
-        ((1.0, 0.0, 0.0), (math.nan, 0.0)),
-        ((1.0, 0.0, 0.0), (0.0, math.inf)),
-        ((1.0, 0.0, 0.0), (-math.inf, 0.0)),
-        ((math.nan, 0.0, 0.0), (0.1, 0.2)),
+        ((1.0, 0.0), (math.nan, 0.0)),
+        ((1.0, 0.0), (0.0, math.inf)),
+        ((1.0, 0.0), (-math.inf, 0.0)),
+        ((math.nan, 0.0), (0.1, 0.2)),
     ],
 )
 def test_non_finite_inputs_are_rejected(pair, angles):
@@ -113,7 +113,7 @@ def test_closed_form_rejects_non_finite_inputs(field, bad, numpy_scalar):
         values = [np.float64(v) for v in values]
     message = "^amplitudes not normalized: " if field < 2 else "^rotation angles must be finite$"
     with pytest.raises(ValueError, match=message):
-        closed_form_p(SchmidtPair(*values[:2], 0.0), AngleSet(*values[2:]))
+        closed_form_p(SchmidtPair(*values[:2]), AngleSet(*values[2:]))
 
 
 @pytest.mark.parametrize("evaluate", [closed_form_p, exact_success_probability])
@@ -138,7 +138,7 @@ def test_angle_sets_refuse_angles_whose_double_overflows():
 
 # Finite raw amplitudes whose products overflow.  The pair refuses them when it
 # is built, so none of the evaluations below ever receives them.
-HUGE, LARGE = (1e200, -1e200, 0.0), (1e80, -1e80, 0.0)
+HUGE, LARGE = (1e200, -1e200), (1e80, -1e80)
 
 
 @pytest.mark.parametrize("evaluate,pair", [
@@ -162,7 +162,7 @@ def test_epr_symmetry_across_inputs():
 
 
 def test_symmetry_breaking_at_zero_entanglement():
-    report = exact_success_probability(SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, 0.0))
+    report = exact_success_probability(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0))
     assert (report.p00, report.p01, report.p10, report.p11) == (1.0, 1.0, 1.0, 0.0)
     assert report.total == 0.75
 
@@ -189,7 +189,7 @@ def test_exact_matches_brute_force_frozen_example():
 
 
 def test_closed_form_product_state_zero_angles():
-    assert closed_form_p(SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, 0.0)) == 0.75
+    assert closed_form_p(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0)) == 0.75
 
 
 def test_closed_form_epr_optimum():
@@ -215,7 +215,7 @@ def test_closed_form_agrees_with_exact_and_brute_force():
         canonical = random_canonical_pair(rng)
         angles = AngleSet(*rng.uniform(-math.pi, math.pi, size=2))
         # The formula holds off the canonical domain too: alpha*beta > 0 as well.
-        flipped = SchmidtPair.from_amplitudes(canonical.alpha, -canonical.beta)
+        flipped = SchmidtPair(canonical.alpha, -canonical.beta)
         for pair in (canonical, flipped):
             closed = closed_form_p(pair, angles)
             assert abs(closed - exact_success_probability(pair, angles).total) < 1e-12
@@ -247,7 +247,7 @@ def test_high_bits_never_affect_success():
 
 def test_run_once_deterministic_success_case():
     rng = np.random.default_rng(0)
-    t = run_once(SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, 0.0), InputPair(0b10, 0b00), rng)
+    t = run_once(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0), InputPair(0b10, 0b00), rng)
     assert (t.a, t.b) == (0, 0)
     assert (t.msg_alice, t.msg_bob) == (1, 0)
     assert t.out_alice == t.out_bob == 1
@@ -256,7 +256,7 @@ def test_run_once_deterministic_success_case():
 
 def test_run_once_deterministic_failure_case():
     rng = np.random.default_rng(0)
-    t = run_once(SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, 0.0), InputPair(0b01, 0b01), rng)
+    t = run_once(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0), InputPair(0b01, 0b01), rng)
     assert (t.a, t.b) == (0, 0)
     assert t.out_alice == t.out_bob == 0
     assert target_function(t.inputs) == 1
@@ -270,7 +270,7 @@ def test_run_once_deterministic_states():
         rng = np.random.default_rng(seed)
         for x in range(4):
             for y in range(4):
-                t = run_once(SchmidtPair(1.0, 0.0, 0.0), angles, InputPair(x, y), rng)
+                t = run_once(SchmidtPair(1.0, 0.0), angles, InputPair(x, y), rng)
                 assert (t.a, t.b) == (x & 1, y & 1)
 
 
@@ -312,7 +312,7 @@ def test_transcript_relations_hold_on_random_runs():
 
 
 def test_monte_carlo_single_trial():
-    result = monte_carlo(SchmidtPair(1.0, 0.0, 0.0), AngleSet(0.0, 0.0), 1, 7)
+    result = monte_carlo(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0), 1, 7)
     assert result.estimate in (0.0, 1.0)
 
 
@@ -337,6 +337,8 @@ def test_monte_carlo_is_reproducible():
     assert first.estimate == second.estimate
     assert first.std_error == second.std_error
     assert first.per_input_counts == second.per_input_counts
+    typed = monte_carlo(pair, angles, np.int64(50_000), np.int64(99))  # numpy integers alike
+    assert typed == first
 
 
 def test_monte_carlo_counts_partition_trials():
@@ -352,7 +354,7 @@ def test_monte_carlo_tallies_equal_looped_run_once(chi):
     # monte_carlo's documented draw order is the (trials, 2) int block, then one
     # uniform per trial, which is what run_once consumes round by round.  The
     # trials span several chunks, the last one partial.
-    pair = SchmidtPair.from_amplitudes(math.cos(chi), math.sin(chi))
+    pair = SchmidtPair(math.cos(chi), math.sin(chi))
     angles = AngleSet(0.2, -0.4)
     n, seed = 3 * protocol._CHUNK + 5, 8
     rng = np.random.default_rng(seed)
@@ -400,7 +402,7 @@ def test_input_rows_read_integers_from_raw_words(n, seed):
     "pair,angles",
     [
         (make_shared_state(-0.5), AngleSet(0.2, -0.4)),
-        (SchmidtPair.from_amplitudes(0.8, 0.6), AngleSet(0.3, -1.1)),  # alpha*beta > 0
+        (SchmidtPair(0.8, 0.6), AngleSet(0.3, -1.1)),  # alpha*beta > 0
     ],
 )
 def test_monte_carlo_tallies_do_not_depend_on_chunk_size(pair, angles, monkeypatch):

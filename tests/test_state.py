@@ -47,15 +47,15 @@ def test_shared_state_invariants_on_grid():
 
 
 def test_from_amplitudes_accepts_any_normalized_pair():
-    pair = SchmidtPair.from_amplitudes(0.6, 0.8)  # outside the canonical domain on purpose
+    pair = SchmidtPair(0.6, 0.8)  # outside the canonical domain on purpose
     assert pair.alpha == 0.6 and pair.beta == 0.8
-    assert abs(math.cos(pair.chi) - 0.6) < 1e-12
-    assert abs(math.sin(pair.chi) - 0.8) < 1e-12
+    assert pair == (0.6, 0.8)  # the two amplitudes and nothing else
+    assert pair.beta > pair.alpha > 0.0  # beta > 0 and |beta| > |alpha|
 
 
 def test_from_amplitudes_rejects_unnormalized():
     with pytest.raises(ValueError):
-        SchmidtPair.from_amplitudes(0.8, 0.7)
+        SchmidtPair(0.8, 0.7)
 
 
 # An int whose square is beyond every float is refused alike, not with OverflowError.
@@ -64,15 +64,13 @@ def test_from_amplitudes_rejects_unnormalized():
                                         (0.8, -math.inf), (math.inf, math.inf)])
 def test_from_amplitudes_rejects_non_finite(alpha, beta):
     with pytest.raises(ValueError, match="^amplitudes not normalized: "):
-        SchmidtPair.from_amplitudes(alpha, beta)
-    with pytest.raises(ValueError, match="^amplitudes not normalized: "):
-        SchmidtPair(alpha, beta, 0.0)
+        SchmidtPair(alpha, beta)
 
 
 def test_epr_state():
     epr = epr_state()
     assert epr.alpha == SQH and epr.beta == -SQH
-    assert epr.chi == -math.pi / 4
+    assert math.atan2(epr.beta, epr.alpha) == -math.pi / 4
     assert abs(2.0 * epr.alpha * epr.beta + 1.0) < 1e-12
 
 
@@ -84,8 +82,8 @@ def test_epr_state():
 
 def test_apply_local_rotations_identity():
     # unrotated, the pair alpha|00> + beta|11> gives |00> or |11>, in every row
-    pairs = [SchmidtPair(1.0, 0.0, 0.0), epr_state(), make_shared_state(-math.pi / 6),
-             make_shared_state(-0.3), SchmidtPair.from_amplitudes(0.6, 0.8)]
+    pairs = [SchmidtPair(1.0, 0.0), epr_state(), make_shared_state(-math.pi / 6),
+             make_shared_state(-0.3), SchmidtPair(0.6, 0.8)]
     for pair in pairs:
         alpha, beta = pair.alpha, pair.beta
         assert _outcome_table(alpha, beta, 0.0, 0.0) == [(alpha * alpha, 0.0, 0.0, beta * beta)] * 4
