@@ -137,6 +137,9 @@ def test_bare_import_exposes_submodules():
 
 def test_public_names_resolve_to_their_modules():
     assert sorted(qccsim.__all__) == sorted(n for names in PUBLIC.values() for n in names)
+    # Before any of them loads, in a fresh interpreter, dir() lists them all.
+    listed = _python("-c", "import qccsim; print(*dir(qccsim))").stdout.split()
+    assert {*qccsim.__all__, *LAYERS} <= set(listed)
     for module, names in PUBLIC.items():
         for name in names:
             assert getattr(qccsim, name) is getattr(importlib.import_module(f"qccsim.{module}"),

@@ -348,15 +348,9 @@ def test_monte_carlo_counts_partition_trials():
     assert set(result.per_input_counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
-# The last chi is outside the canonical domain: there alpha*beta > 0.
-@pytest.mark.parametrize("chi", [-math.pi / 4, -0.5, math.atan2(0.6, 0.8)])
-def test_monte_carlo_tallies_equal_looped_run_once(chi):
+def _looped_run_once_counts(pair, angles, n, seed):
     # monte_carlo's documented draw order is the (trials, 2) int block, then one
-    # uniform per trial, which is what run_once consumes round by round.  The
-    # trials span several chunks, the last one partial.
-    pair = SchmidtPair(math.cos(chi), math.sin(chi))
-    angles = AngleSet(0.2, -0.4)
-    n, seed = 3 * protocol._CHUNK + 5, 8
+    # uniform per trial, which is what run_once consumes round by round.
     rng = np.random.default_rng(seed)
     counts = {(x0, y0): [0, 0] for x0 in (0, 1) for y0 in (0, 1)}
     for x, y in rng.integers(0, 4, size=(n, 2)).tolist():
@@ -364,7 +358,30 @@ def test_monte_carlo_tallies_equal_looped_run_once(chi):
         tally = counts[(t.inputs.x0, t.inputs.y0)]
         tally[0] += t.success
         tally[1] += 1
-    want = {key: tuple(tally) for key, tally in counts.items()}
+    return {key: tuple(tally) for key, tally in counts.items()}
+
+
+# The last chi is outside the canonical domain: there alpha*beta > 0.
+@pytest.mark.parametrize("chi", [-math.pi / 4, -0.5, math.atan2(0.6, 0.8)])
+def test_monte_carlo_tallies_equal_looped_run_once(chi):
+    # The trials span several chunks, the last one partial.
+    pair = SchmidtPair(math.cos(chi), math.sin(chi))
+    angles = AngleSet(0.2, -0.4)
+    n, seed = 3 * protocol._CHUNK + 5, 8
+    want = _looped_run_once_counts(pair, angles, n, seed)
+    assert monte_carlo(pair, angles, n, seed).per_input_counts == want
+
+
+# Unrotated, every row's three CDF edges coincide (at 1, about 1/2 and 0), so no
+# uniform lies between a row's first and last edge: every round has even parity.
+@pytest.mark.parametrize(
+    "pair", [SchmidtPair(1.0, 0.0), epr_state(), SchmidtPair(0.0, 1.0)], ids=["00", "epr", "11"]
+)
+def test_monte_carlo_tallies_equal_looped_run_once_where_edges_coincide(pair):
+    angles = AngleSet(0.0, 0.0)
+    assert len({edge for row in _outcome_edges(pair, angles) for edge in row}) == 1
+    n, seed = 3 * protocol._CHUNK + 5, 8
+    want = _looped_run_once_counts(pair, angles, n, seed)
     assert monte_carlo(pair, angles, n, seed).per_input_counts == want
 
 
