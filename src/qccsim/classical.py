@@ -27,6 +27,7 @@ never passes through floating point.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -76,6 +77,16 @@ def _target(x: int, y: int) -> int:
     return (x >> 1) ^ (y >> 1) ^ ((x & 1) & (y & 1))
 
 
+def _check_inputs(x: int, y: int) -> None:
+    """Raise ValueError unless x and y are integers in 0..3, written once for the package."""
+    try:
+        valid = 0 <= operator.index(x) <= 3 and 0 <= operator.index(y) <= 3
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"inputs must be integers in 0..3, got x = {x!r}, y = {y!r}")
+
+
 def baseline_protocol() -> DeterministicProtocol:
     """The 3/4-achieving strategy: exchange high bits, output their XOR.
 
@@ -91,7 +102,11 @@ def baseline_protocol() -> DeterministicProtocol:
 
 
 def run_protocol(p: DeterministicProtocol, x: int, y: int) -> ProtocolRun:
-    """Evaluate a protocol on one input pair."""
+    """Evaluate a protocol on one input pair.
+
+    Inputs that are not integers in 0..3, or an unknown mode, raise ValueError.
+    """
+    _check_inputs(x, y)
     msg_a = p.msg_alice[x]
     if p.mode == MODE_SIMULTANEOUS:
         msg_b = p.msg_bob[y]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 from typing import Iterator, NamedTuple
 
 from . import _FLOAT
@@ -23,16 +24,20 @@ from ._entry import ConsistencyError, _kv_report, _write, main, run
 from .concentration import concentration_strategy_value
 from .optimize import _correlation_bound, optimal_closed_form
 from .protocol import AngleSet, closed_form_p, exact_success_probability, monte_carlo
-from .state import SchmidtPair, make_shared_state
+from .state import NORM_TOL, SchmidtPair, make_shared_state
 
 OPTIMAL_DISCREPANCY_LIMIT = 1e-6
 # CLI amplitudes are typically hand-typed decimals; accept small normalization
-# drift and renormalize exactly before use.
+# drift and renormalize exactly before use, with a note on stderr past NORM_TOL.
 AMPLITUDE_NORM_TOL = 1e-4
 
 
 def _state(args: argparse.Namespace) -> tuple[float, SchmidtPair]:
-    """The state angle chi (radians) and the pair, from --chi or --alpha/--beta."""
+    """The state angle chi (radians) and the pair, from --chi or --alpha/--beta.
+
+    Amplitudes that are renormalized by more than ``NORM_TOL`` get one note on
+    stderr, written before the result; stdout does not change.
+    """
     alpha, beta = getattr(args, "alpha", None), getattr(args, "beta", None)
     if (args.chi is None) == (alpha is None and beta is None):
         raise ValueError("give exactly one of --chi or the pair --alpha/--beta")
@@ -47,6 +52,9 @@ def _state(args: argparse.Namespace) -> tuple[float, SchmidtPair]:
     pair = SchmidtPair(alpha / norm, beta / norm)
     chi = math.atan2(pair.beta, pair.alpha)
     make_shared_state(chi)  # called for its canonical-domain check only
+    if abs(norm * norm - 1.0) > NORM_TOL:
+        print(f"note: renormalized --alpha/--beta: alpha^2+beta^2 = {_FLOAT % (norm * norm)}",
+              file=sys.stderr)
     return chi, pair
 
 

@@ -28,7 +28,7 @@ import operator
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from .classical import _target
+from .classical import _check_inputs, _target
 from .state import SchmidtPair
 
 if TYPE_CHECKING:
@@ -45,12 +45,7 @@ class InputPair(NamedTuple("InputPair", [("x", int), ("y", int)])):
     __slots__ = ()
 
     def __new__(cls, x: int, y: int) -> "InputPair":
-        try:
-            valid = 0 <= operator.index(x) <= 3 and 0 <= operator.index(y) <= 3
-        except TypeError:
-            valid = False
-        if not valid:
-            raise ValueError(f"inputs must be integers in 0..3, got x = {x!r}, y = {y!r}")
+        _check_inputs(x, y)
         return super().__new__(cls, x, y)
 
     @classmethod

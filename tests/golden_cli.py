@@ -9,7 +9,9 @@ root:
     PYTHONPATH=src python tests/golden_cli.py
 
 It prints each call whose exit code or output differs from the golden file
-and exits 1 if there is one.
+and exits 1 if there is one.  The tests run the CLI through this module's
+two runners, ``run_cli`` in process and ``run_python`` in a fresh
+interpreter, and read text reports with ``parse_kv``.
 """
 
 import contextlib
@@ -86,20 +88,35 @@ def samples(argv: list) -> bool:
     return "--trials" in argv and int(argv[argv.index("--trials") + 1]) >= 1
 
 
-def _call(argv):
-    """Exit code and stdout of ``cli.main(argv)``; stderr (a refusal's message) is dropped."""
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    return code, buffer.getvalue()
+def run_cli(argv: list) -> tuple:
+    """``(code, stdout, stderr)`` of ``cli.main(argv)`` in this process.
+
+    An argparse usage error or ``--help`` exits; its exit code is the code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
-def _subprocess_call(argv):
+def parse_kv(text: str) -> dict:
+    """A text report's ``key = value`` lines as a dict of strings."""
+    result = {}
+    for line in text.strip().splitlines():
+        key, _, value = line.partition(" = ")
+        result[key] = value
+    return result
+
+
+def run_python(*args: str, cwd=ROOT) -> subprocess.CompletedProcess:
+    """``python *args`` as text, in a fresh interpreter that imports qccsim from ``src``."""
     env = dict(os.environ, COLUMNS="80")  # argparse wraps help text to the terminal width
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "qccsim", *argv], capture_output=True, text=True,
-                          env=env, cwd=ROOT, timeout=120)
-    return {"code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=120)
 
 
 def capture_cli(sampled: bool = True) -> dict:
@@ -112,15 +129,18 @@ def capture_cli(sampled: bool = True) -> dict:
 
     cli_out = {}
     for argv in keep(CLI_CALLS):
-        code, out = _call(argv)
+        code, out, _ = run_cli(argv)
         cli_out[" ".join(argv)] = {"code": code, "stdout": out}
     cli_hashed = {}
     for argv in keep(CLI_HASHED_CALLS):
-        code, out = _call(argv)
+        code, out, _ = run_cli(argv)
         cli_hashed[" ".join(argv)] = {
             "code": code, "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
-    cli_subprocess = {" ".join(argv): _subprocess_call(argv)
-                      for argv in keep(CLI_SUBPROCESS_CALLS)}
+    cli_subprocess = {}
+    for argv in keep(CLI_SUBPROCESS_CALLS):
+        proc = run_python("-m", "qccsim", *argv)
+        cli_subprocess[" ".join(argv)] = {
+            "code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
     return {"cli": cli_out, "cli_sha256": cli_hashed, "cli_subprocess": cli_subprocess}
 
 

@@ -20,12 +20,8 @@ from qccsim.protocol import (
     monte_carlo,
 )
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-from oracles import brute_force_total, procrustean_filter, vidal_bound
-from test_optimize import _numpy_scan_optimum
-
-COS2_PI8 = math.cos(math.pi / 8) ** 2
-SLOPE = 2.0 * COS2_PI8 - 1.5
-CHI_GRID_33 = [float(c) for c in np.linspace(-math.pi / 4, 0.0, 33)]
+from oracles import (CHI_GRID, COS2_PI8, EPR_ANGLES, SLOPE, brute_force_total, p_max_formula,
+                     procrustean_filter, scan_optimum, vidal_bound)
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -36,14 +32,14 @@ def report(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 def test_c01_maximal_pair_golden_value():
-    total = exact_success_probability(epr_state(), AngleSet(-math.pi / 16, 3 * math.pi / 16)).total
+    total = exact_success_probability(epr_state(), AngleSet(*EPR_ANGLES)).total
     report(1, "success probability at the maximal pair equals cos^2(pi/8)",
            abs(total - COS2_PI8) < 1e-12, f"total={total:.15f}")
 
 
 def test_c02_optimal_angles_at_the_maximal_pair():
     sol = optimal_closed_form(epr_state())
-    ok = abs(sol.phi1 + math.pi / 16) < 1e-12 and abs(sol.phi2 - 3 * math.pi / 16) < 1e-12
+    ok = abs(sol.phi1 - EPR_ANGLES[0]) < 1e-12 and abs(sol.phi2 - EPR_ANGLES[1]) < 1e-12
     report(2, "closed-form optimum returns (-pi/16, 3pi/16)", ok,
            f"phi1={sol.phi1:.15f} phi2={sol.phi2:.15f}")
 
@@ -66,13 +62,11 @@ def test_c03_closed_form_agrees_with_brute_force():
 def test_c04_numeric_maximizer_confirms_the_formula():
     start = time.perf_counter()
     worst = 0.0
-    for chi in CHI_GRID_33:
+    for chi in CHI_GRID:
         pair = make_shared_state(chi)
-        ab = pair.alpha * pair.beta
-        formula = 0.5 + 0.25 * math.sqrt(1.0 + 4.0 * ab * ab)
-        worst = max(worst, abs(_numpy_scan_optimum(pair)[2] - formula))
+        worst = max(worst, abs(scan_optimum(*pair)[2] - p_max_formula(*pair)))
     elapsed = time.perf_counter() - start
-    report(4, "grid+refine maximizer matches the p_max formula on 33 states",
+    report(4, "zoomed grid maximizer matches the p_max formula on 33 states",
            worst < 1e-9, f"worst={worst:.2e} elapsed={elapsed:.2f}s")
 
 
@@ -152,7 +146,7 @@ def test_c08_monte_carlo_consistency():
 
 def test_c09_monotonicity_in_the_amplitude_product():
     points = []
-    for chi in CHI_GRID_33:
+    for chi in CHI_GRID:
         pair = make_shared_state(chi)
         points.append((abs(pair.alpha * pair.beta), optimal_closed_form(pair).p_max))
     points.sort()

@@ -31,6 +31,18 @@ def test_baseline_single_inputs():
     assert run.out_alice == run.out_bob == 0  # f(01,01) = 1: failure
 
 
+@pytest.mark.parametrize("x,y", [(-1, 0), (4, 0), (0, -1), (0, 4), (1.0, 0), (None, 2)])
+def test_run_protocol_refuses_inputs_outside_0_to_3(x, y):
+    # -1 once ran as x = 3 by negative indexing, and 4 raised IndexError.
+    with pytest.raises(ValueError, match=r"^inputs must be integers in 0\.\.3, got "):
+        run_protocol(baseline_protocol(), x, y)
+
+
+def test_run_protocol_refuses_unknown_mode():
+    with pytest.raises(ValueError, match="^unknown mode 'sideways'$"):
+        run_protocol(baseline_protocol()._replace(mode="sideways"), 0, 0)
+
+
 def test_baseline_success_count():
     assert evaluate_protocol(baseline_protocol()) == 12
 

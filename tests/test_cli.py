@@ -2,129 +2,119 @@ import contextlib
 import json
 import math
 import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from golden_cli import CLI_CALLS, CLI_HASHED_CALLS, GOLDEN, parse_kv, run_cli, run_python
 from qccsim import cli
 from qccsim.protocol import AngleSet, closed_form_p
-from oracles import brute_force_total, horodecki_bound
-
-COS2_PI8 = math.cos(math.pi / 8) ** 2
-
-
-def run_cli(argv, capsys):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
-def parse_kv(text):
-    result = {}
-    for line in text.strip().splitlines():
-        key, _, value = line.partition(" = ")
-        result[key] = value
-    return result
+from oracles import COS2_PI8, EPR_ANGLES, brute_force_total, horodecki_bound
 
 
 # --- exact -------------------------------------------------------------------
 
 
-def test_exact_epr_optimal_angles(capsys):
-    code, out, _ = run_cli(
-        ["exact", "--chi", "-45", "--phi1", "-0.19635", "--phi2", "0.58905"], capsys
-    )
+def test_exact_epr_optimal_angles():
+    code, out, _ = run_cli(["exact", "--chi", "-45", "--phi1", "-0.19635", "--phi2", "0.58905"])
     assert code == 0
     report = parse_kv(out)
     assert abs(float(report["total"]) - 0.853553) < 1e-5
     assert float(report["difference"]) < 1e-12
 
 
-def test_exact_product_state(capsys):
-    code, out, _ = run_cli(["exact", "--chi", "0", "--phi1", "0", "--phi2", "0"], capsys)
+def test_exact_product_state():
+    code, out, _ = run_cli(["exact", "--chi", "0", "--phi1", "0", "--phi2", "0"])
     assert code == 0
     report = parse_kv(out)
     assert float(report["total"]) == 0.75
     assert [float(report[k]) for k in ("p00", "p01", "p10", "p11")] == [1.0, 1.0, 1.0, 0.0]
 
 
-def test_exact_amplitude_input(capsys):
+def test_exact_amplitude_input():
     code, out, _ = run_cli(
         ["exact", "--alpha", "0.9238795325112867", "--beta", "-0.3826834323650898",
-         "--phi1", "0.1", "--phi2", "-0.2"],
-        capsys,
-    )
+         "--phi1", "0.1", "--phi2", "-0.2"])
     assert code == 0
     report = parse_kv(out)
     assert abs(float(report["total"]) - 0.76328898328267136) < 1e-9
 
 
-def test_exact_renormalizes_loose_amplitudes(capsys):
+def test_exact_renormalizes_loose_amplitudes():
     # hand-typed 5-digit decimals pass the CLI normalization check
     code, out, _ = run_cli(
-        ["exact", "--alpha", "0.92388", "--beta", "-0.38268", "--phi1", "0.1", "--phi2", "-0.2"],
-        capsys,
-    )
+        ["exact", "--alpha", "0.92388", "--beta", "-0.38268", "--phi1", "0.1", "--phi2", "-0.2"])
     assert code == 0
     report = parse_kv(out)
     assert abs(float(report["total"]) - 0.76328898328267136) < 1e-4
 
 
-def test_exact_rejects_positive_beta(capsys):
-    code, _, err = run_cli(["exact", "--alpha", "0.8", "--beta", "0.6"], capsys)
+RENORMALIZED = "note: renormalized --alpha/--beta: alpha^2+beta^2 = "
+
+
+def test_renormalized_amplitudes_get_a_note_on_stderr():
+    loose = ["exact", "--alpha", "0.92388", "--beta", "-0.38268"]
+    code, out, err = run_cli(loose)
+    assert code == 0 and out
+    assert err == RENORMALIZED + "%.12g\n" % math.hypot(0.92388, -0.38268) ** 2
+    # none for exactly normalized amplitudes, a state angle, or any other golden call
+    for argv in [["exact", "--alpha", "0.6", "--beta", "-0.8"],
+                 ["exact", "--alpha", "0.8", "--beta", "-0.6"], *CLI_CALLS, *CLI_HASHED_CALLS]:
+        if argv != loose:
+            assert RENORMALIZED not in run_cli(argv)[2], argv
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))["cli_subprocess"]
+    assert not any(RENORMALIZED in record["stderr"] for record in pinned.values())
+
+
+def test_exact_rejects_positive_beta():
+    code, _, err = run_cli(["exact", "--alpha", "0.8", "--beta", "0.6"])
     assert code == 2
     assert "error" in err
 
 
-def test_exact_rejects_conflicting_parameterizations(capsys):
-    code, _, _ = run_cli(["exact", "--chi", "-10", "--alpha", "0.9", "--beta", "-0.4"], capsys)
+def test_exact_rejects_conflicting_parameterizations():
+    code, _, _ = run_cli(["exact", "--chi", "-10", "--alpha", "0.9", "--beta", "-0.4"])
     assert code == 2
-    code, _, _ = run_cli(["exact"], capsys)
+    code, _, _ = run_cli(["exact"])
     assert code == 2
-    code, _, _ = run_cli(["exact", "--alpha", "0.8"], capsys)
+    code, _, _ = run_cli(["exact", "--alpha", "0.8"])
     assert code == 2
 
 
-def test_exact_rejects_out_of_domain_chi(capsys):
-    code, _, err = run_cli(["exact", "--chi", "10"], capsys)
+def test_exact_rejects_out_of_domain_chi():
+    code, _, err = run_cli(["exact", "--chi", "10"])
     assert code == 2
     # the flag is in degrees, so the message names the typed value and range in degrees too
     assert "(10 deg)" in err and "[-45, 0] deg" in err
 
 
-def test_exact_rejects_unnormalized_amplitudes(capsys):
+def test_exact_rejects_unnormalized_amplitudes():
     # alpha^2 + beta^2 = 0.89 is past the tolerance; without the check it would renormalize
-    code, out, err = run_cli(["exact", "--alpha", "0.8", "--beta", "-0.5"], capsys)
+    code, out, err = run_cli(["exact", "--alpha", "0.8", "--beta", "-0.5"])
     assert (code, out) == (2, "")
     assert "amplitudes not normalized" in err
 
 
-def test_exact_rejects_angles_whose_double_overflows(capsys):
+def test_exact_rejects_angles_whose_double_overflows():
     # finite, so argparse takes it, but closed_form_p's sin(2 phi1) would raise a domain error
-    code, out, err = run_cli(["exact", "--chi", "-30", "--phi1", "1e308"], capsys)
+    code, out, err = run_cli(["exact", "--chi", "-30", "--phi1", "1e308"])
     assert (code, out) == (2, "")
     assert "rotation angles must lie within +-8.988465674311579e+307 rad" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan", "abc"])
-def test_exact_rejects_non_finite_angles(value, capsys):
+def test_exact_rejects_non_finite_angles(value):
     for flag in ("--phi1", "--phi2"):
         for given in ([f"{flag}={value}"], [flag, value]):
-            code, out, err = run_cli(["exact", "--chi", "-10", "--format", "json", *given], capsys)
+            code, out, err = run_cli(["exact", "--chi", "-10", "--format", "json", *given])
             assert code == 2
             assert out == ""
             assert f"not a finite number: {value!r}" in err
 
 
-def test_exact_json(capsys):
-    code, out, _ = run_cli(["exact", "--chi", "-45", "--format", "json"], capsys)
+def test_exact_json():
+    code, out, _ = run_cli(["exact", "--chi", "-45", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["meta"]["tool"] == "qccsim"
@@ -136,41 +126,41 @@ def test_exact_json(capsys):
 # --- optimal -----------------------------------------------------------------
 
 
-def test_optimal_epr(capsys):
-    code, out, _ = run_cli(["optimal", "--chi", "-45"], capsys)
+def test_optimal_epr():
+    code, out, _ = run_cli(["optimal", "--chi", "-45"])
     assert code == 0
     report = parse_kv(out)
-    assert abs(float(report["phi1"]) + math.pi / 16) < 1e-9
-    assert abs(float(report["phi2"]) - 3 * math.pi / 16) < 1e-9
+    assert abs(float(report["phi1"]) - EPR_ANGLES[0]) < 1e-9
+    assert abs(float(report["phi2"]) - EPR_ANGLES[1]) < 1e-9
     assert abs(float(report["p_max"]) - COS2_PI8) < 1e-9
     assert float(report["discrepancy"]) < 1e-9
 
 
-def test_optimal_product_state(capsys):
-    code, out, _ = run_cli(["optimal", "--chi", "0"], capsys)
+def test_optimal_product_state():
+    code, out, _ = run_cli(["optimal", "--chi", "0"])
     assert code == 0
     report = parse_kv(out)
     assert float(report["phi1"]) == 0.0 and float(report["phi2"]) == 0.0
     assert float(report["p_max"]) == 0.75
 
 
-def test_optimal_half_angle(capsys):
-    code, out, _ = run_cli(["optimal", "--chi", "-22.5"], capsys)
+def test_optimal_half_angle():
+    code, out, _ = run_cli(["optimal", "--chi", "-22.5"])
     assert code == 0
     report = parse_kv(out)
     assert abs(float(report["p_max"]) - 0.80618621784789724) < 1e-9
     assert float(report["discrepancy"]) < 1e-9
 
 
-def test_optimal_reads_negative_value_with_exponent(capsys):
+def test_optimal_reads_negative_value_with_exponent():
     # argparse alone takes "-1e-05" for an option name and exits 2
-    code, out, _ = run_cli(["optimal", "--chi", "-1e-05"], capsys)
+    code, out, _ = run_cli(["optimal", "--chi", "-1e-05"])
     assert code == 0
-    assert (code, out) == run_cli(["optimal", "--chi=-1e-05"], capsys)[:2]
+    assert (code, out) == run_cli(["optimal", "--chi=-1e-05"])[:2]
 
 
-def test_optimal_rejects_out_of_domain(capsys):
-    code, _, _ = run_cli(["optimal", "--chi", "5"], capsys)
+def test_optimal_rejects_out_of_domain():
+    code, _, _ = run_cli(["optimal", "--chi", "5"])
     assert code == 2
 
 
@@ -190,15 +180,15 @@ _MUTANTS = {
 
 @pytest.mark.parametrize("chi", ["-30", "-45"])
 @pytest.mark.parametrize("mutant", _MUTANTS)
-def test_optimal_flags_numeric_regression(capsys, monkeypatch, mutant, chi):
+def test_optimal_flags_numeric_regression(monkeypatch, mutant, chi):
     # the full report of the faulty solution comes first; then one error line
     closed_form, wrong = cli.optimal_closed_form, _MUTANTS[mutant]
     monkeypatch.setattr(cli, "optimal_closed_form", lambda pair: wrong(pair, closed_form(pair)))
     pair = cli.make_shared_state(math.radians(float(chi)))
     sol = cli.optimal_closed_form(pair)
     argv = ["optimal", "--chi", chi, "--format"]
-    code, text, err = run_cli(argv + ["text"], capsys)
-    json_code, json_out, json_err = run_cli(argv + ["json"], capsys)
+    code, text, err = run_cli(argv + ["text"])
+    json_code, json_out, json_err = run_cli(argv + ["json"])
     assert code == json_code == 3
     record = json.loads(json_out)["record"]
     assert list(parse_kv(text)) == list(record) == [
@@ -221,12 +211,10 @@ def test_optimal_flags_numeric_regression(capsys, monkeypatch, mutant, chi):
 # --- sweep -------------------------------------------------------------------
 
 
-def test_sweep_csv_file(tmp_path, capsys):
+def test_sweep_csv_file(tmp_path):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run_cli(
-        ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "31", "--out", str(out_file)],
-        capsys,
-    )
+        ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "31", "--out", str(out_file)])
     assert code == 0
     lines = out_file.read_text().splitlines()
     assert lines[0] == cli.CSV_HEADER
@@ -242,18 +230,16 @@ def test_sweep_csv_file(tmp_path, capsys):
     assert abs(rows[0]["p_concentration"] - rows[0]["p_max"]) < 1e-12
 
 
-def test_sweep_csv_stdout(capsys):
-    code, out, _ = run_cli(["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2"], capsys)
+def test_sweep_csv_stdout():
+    code, out, _ = run_cli(["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "2"])
     assert code == 0
     assert out.startswith(cli.CSV_HEADER + "\n")
     assert out.endswith("\n")
 
 
-def test_sweep_json_mirrors_csv_fields(capsys):
+def test_sweep_json_mirrors_csv_fields():
     code, out, _ = run_cli(
-        ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "5", "--format", "json"],
-        capsys,
-    )
+        ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "5", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["meta"]["command"] == "sweep"
@@ -262,40 +248,38 @@ def test_sweep_json_mirrors_csv_fields(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_out_file_matches_stdout(fmt, tmp_path, capsys):
+def test_sweep_out_file_matches_stdout(fmt, tmp_path):
     argv = ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "31", "--format", fmt]
-    code, out, _ = run_cli(argv, capsys)
+    code, out, _ = run_cli(argv)
     assert code == 0
     out_file = tmp_path / f"sweep.{fmt}"
-    assert run_cli([*argv, "--out", str(out_file)], capsys) == (0, "", "")
+    assert run_cli([*argv, "--out", str(out_file)]) == (0, "", "")
     if fmt == "json":  # the only difference: meta's flags name the --out path
         out = out.replace('"format": "json"\n',
                           f'"format": "json",\n      "out": {json.dumps(str(out_file))}\n', 1)
     assert out_file.read_bytes() == out.encode("utf-8")
 
 
-def test_sweep_rejects_bad_flags(capsys):
-    code, out, _ = run_cli(["sweep", "--chi-start", "-50", "--chi-end", "0", "--steps", "5"],
-                           capsys)
+def test_sweep_rejects_bad_flags():
+    code, out, _ = run_cli(["sweep", "--chi-start", "-50", "--chi-end", "0", "--steps", "5"])
     assert (code, out) == (2, "")
-    code, out, _ = run_cli(["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "1"],
-                           capsys)
+    code, out, _ = run_cli(["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "1"])
     assert (code, out) == (2, "")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_refuses_whole_grid_when_last_point_is_out_of_domain(fmt, capsys):
+def test_sweep_refuses_whole_grid_when_last_point_is_out_of_domain(fmt):
     argv = ["sweep", "--chi-start", "-45", "--chi-end", "1", "--steps", "5", "--format", fmt]
-    code, out, err = run_cli(argv, capsys)
+    code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
     assert "(1 deg)" in err
 
 
-def test_refused_sweep_creates_no_file(tmp_path, capsys):
+def test_refused_sweep_creates_no_file(tmp_path):
     out_file = tmp_path / "sweep.json"
     argv = ["sweep", "--chi-start", "-45", "--chi-end", "1", "--steps", "5", "--format", "json",
             "--out", str(out_file)]
-    assert run_cli(argv, capsys)[:2] == (2, "")
+    assert run_cli(argv)[:2] == (2, "")
     assert not out_file.exists()
 
 
@@ -329,10 +313,8 @@ def test_sweep_json_is_written_record_by_record():
 # --- simulate ----------------------------------------------------------------
 
 
-def test_simulate_epr(capsys):
-    code, out, _ = run_cli(
-        ["simulate", "--chi", "-45", "--trials", "20000", "--seed", "42"], capsys
-    )
+def test_simulate_epr():
+    code, out, _ = run_cli(["simulate", "--chi", "-45", "--trials", "20000", "--seed", "42"])
     assert code == 0
     report = parse_kv(out)
     estimate, std_error = float(report["estimate"]), float(report["std_error"])
@@ -340,8 +322,8 @@ def test_simulate_epr(capsys):
     assert abs(float(report["z_score"])) < 5.0
 
 
-def test_simulate_product_state_tallies(capsys):
-    code, out, _ = run_cli(["simulate", "--chi", "0", "--trials", "100", "--seed", "1"], capsys)
+def test_simulate_product_state_tallies():
+    code, out, _ = run_cli(["simulate", "--chi", "0", "--trials", "100", "--seed", "1"])
     assert code == 0
     report = parse_kv(out)
     successes, drawn = report["per_input 11"].split("/")
@@ -349,31 +331,29 @@ def test_simulate_product_state_tallies(capsys):
     assert int(drawn) > 0
 
 
-def test_simulate_output_is_deterministic(capsys):
+def test_simulate_output_is_deterministic():
     argv = ["simulate", "--chi", "-30", "--trials", "5000", "--seed", "9"]
-    _, first, _ = run_cli(argv, capsys)
-    _, second, _ = run_cli(argv, capsys)
+    _, first, _ = run_cli(argv)
+    _, second, _ = run_cli(argv)
     assert first == second
 
 
-def test_simulate_rejects_zero_trials(capsys):
-    code, _, _ = run_cli(["simulate", "--chi", "0", "--trials", "0"], capsys)
+def test_simulate_rejects_zero_trials():
+    code, _, _ = run_cli(["simulate", "--chi", "0", "--trials", "0"])
     assert code == 2
 
 
-def test_simulate_rejects_negative_seed(capsys):
+def test_simulate_rejects_negative_seed():
     argv = ["simulate", "--chi", "-30", "--trials", "10", "--seed", "-1"]
-    code, out, err = run_cli(argv, capsys)
+    code, out, err = run_cli(argv)
     assert code == 2
     assert out == ""
     assert err == "error: seed must be >= 0\n"
 
 
-def test_simulate_json(capsys):
+def test_simulate_json():
     code, out, _ = run_cli(
-        ["simulate", "--chi", "-15", "--trials", "1000", "--seed", "3", "--format", "json"],
-        capsys,
-    )
+        ["simulate", "--chi", "-15", "--trials", "1000", "--seed", "3", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["meta"]["seed"] == 3
@@ -382,9 +362,9 @@ def test_simulate_json(capsys):
     assert sum(n for _, n in counts.values()) == 1000
 
 
-def test_simulate_json_is_strict_for_unbounded_z(capsys):
+def test_simulate_json_is_strict_for_unbounded_z():
     # one trial scores 0 or 1 with zero std_error, never the exact 3/4
-    code, out, _ = run_cli(["simulate", "--chi", "0", "--trials", "1", "--format", "json"], capsys)
+    code, out, _ = run_cli(["simulate", "--chi", "0", "--trials", "1", "--format", "json"])
     assert code == 0
 
     def reject(token):
@@ -398,14 +378,14 @@ def test_simulate_json_is_strict_for_unbounded_z(capsys):
 # --- oversized requests ------------------------------------------------------
 
 
-def test_oversized_request_exits_1(capsys):
+def test_oversized_request_exits_1():
     # 7 PiB of list slots: beyond the 47-bit address space, so the grid's
     # allocation fails at once, before any point is computed.  10^23 slots
     # are beyond sys.maxsize, which no list can index.
     # (simulate streams its trials in chunks, so no --trials fails on memory.)
     for steps in ("1000000000000000", "100000000000000000000000"):
         argv = ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", steps]
-        code, out, err = run_cli(argv, capsys)
+        code, out, err = run_cli(argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -414,8 +394,8 @@ def test_oversized_request_exits_1(capsys):
 # --- classical ---------------------------------------------------------------
 
 
-def test_classical_simultaneous(capsys):
-    code, out, _ = run_cli(["classical", "--mode", "simultaneous"], capsys)
+def test_classical_simultaneous():
+    code, out, _ = run_cli(["classical", "--mode", "simultaneous"])
     assert code == 0
     report = parse_kv(out)
     assert report["best_success_count"] == "12/16"
@@ -423,8 +403,8 @@ def test_classical_simultaneous(capsys):
     assert int(report["protocols_examined"]) == 16 * 16 * 256 * 256
 
 
-def test_classical_sequential_json(capsys):
-    code, out, _ = run_cli(["classical", "--mode", "sequential", "--format", "json"], capsys)
+def test_classical_sequential_json():
+    code, out, _ = run_cli(["classical", "--mode", "sequential", "--format", "json"])
     assert code == 0
     record = json.loads(out)["record"]
     assert record["best_success_count"] == 12
@@ -433,8 +413,8 @@ def test_classical_sequential_json(capsys):
     assert len(record["witness"]["msg_bob"]) == 8
 
 
-def test_classical_rejects_bad_mode(capsys):
-    code, _, _ = run_cli(["classical", "--mode", "sideways"], capsys)
+def test_classical_rejects_bad_mode():
+    code, _, _ = run_cli(["classical", "--mode", "sideways"])
     assert code == 2
 
 
@@ -442,12 +422,8 @@ def test_classical_rejects_bad_mode(capsys):
 
 
 def test_module_invocation_is_byte_identical():
-    argv = [sys.executable, "-m", "qccsim", "simulate", "--chi", "-45", "--trials", "5000",
-            "--seed", "7"]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    first = subprocess.run(argv, capture_output=True, check=True, env=env)
-    second = subprocess.run(argv, capture_output=True, check=True, env=env)
+    argv = ["-m", "qccsim", "simulate", "--chi", "-45", "--trials", "5000", "--seed", "7"]
+    first, second = run_python(*argv), run_python(*argv)
+    assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # sanity: produced output

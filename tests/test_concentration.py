@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import kron_rotate, procrustean_filter, vidal_bound
+from oracles import COS2_PI8, SLOPE, kron_rotate, procrustean_filter, vidal_bound
 from qccsim.classical import baseline_protocol, run_protocol
 from qccsim.concentration import (
     concentration_strategy_value,
@@ -13,9 +13,6 @@ from qccsim.concentration import (
 from qccsim.optimize import optimal_closed_form
 from qccsim.protocol import InputPair, target_function
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-
-COS2_PI8 = math.cos(math.pi / 8) ** 2
-SLOPE = 2.0 * COS2_PI8 - 1.5
 
 
 def pair_for_beta_sq(beta_sq: float) -> SchmidtPair:

@@ -22,12 +22,11 @@ import math
 import numpy as np
 
 from golden_cli import GOLDEN, capture_cli, mismatches
+from oracles import EPR_ANGLES
 from qccsim.concentration import simulate_concentration_run
 from qccsim.optimize import optimal_closed_form
 from qccsim.protocol import AngleSet, InputPair, monte_carlo, run_once
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-
-EPR_ANGLES = AngleSet(-math.pi / 16, 3 * math.pi / 16)
 
 
 def _rounds(pair, angles, seed, n=256):
@@ -61,10 +60,11 @@ def capture() -> dict:
     partial = make_shared_state(-math.pi / 8)
     sol = optimal_closed_form(partial)
     partial_angles = AngleSet(sol.phi1, sol.phi2)
+    epr_angles = AngleSet(*EPR_ANGLES)
     return {
         **capture_cli(),
         "run_once": {
-            "epr": _rounds(epr_state(), EPR_ANGLES, 404),
+            "epr": _rounds(epr_state(), epr_angles, 404),
             "chi=-pi/8": _rounds(partial, partial_angles, 405),
         },
         "concentration": {
@@ -75,26 +75,26 @@ def capture() -> dict:
             "epr": _concentration_rounds(epr_state(), 408),
         },
         "monte_carlo": {
-            "epr": _counts(epr_state(), EPR_ANGLES, 10_000, 5),
+            "epr": _counts(epr_state(), epr_angles, 10_000, 5),
             "chi=-0.5": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4), 50_000, 99),
             "chi=-pi/8": _counts(partial, partial_angles, 20_000, 43),
             # several chunks, the last one partial
             "chi=-0.5 3*2^16+5": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4),
                                          3 * 2**16 + 5, 11),
-            "epr 10^6": _counts(epr_state(), EPR_ANGLES, 10**6, 12),
+            "epr 10^6": _counts(epr_state(), epr_angles, 10**6, 12),
             # so few trials that some rows get none
             **{f"chi=-0.5 trials={n}": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4),
                                                n, 13) for n in (1, 2, 3)},
             # alpha*beta > 0, one trial past 2^16 (a whole number of chunks)
             "ab>0 2^16+1": _counts(SchmidtPair(0.8, 0.6), AngleSet(0.3, -1.1),
                                    2**16 + 1, 14),
-            "epr seed=2^40+3": _counts(epr_state(), EPR_ANGLES, 30_000, 2**40 + 3),
+            "epr seed=2^40+3": _counts(epr_state(), epr_angles, 30_000, 2**40 + 3),
             # one trial short of, just past, and well past a 2^14-trial chunk
             "chi=-0.5 2^14-1": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4),
                                        2**14 - 1, 15),
             "ab>0 2^14+1": _counts(SchmidtPair(0.8, 0.6), AngleSet(0.3, -1.1),
                                    2**14 + 1, 16),
-            "epr 5*2^14+3": _counts(epr_state(), EPR_ANGLES, 5 * 2**14 + 3, 17),
+            "epr 5*2^14+3": _counts(epr_state(), epr_angles, 5 * 2**14 + 3, 17),
         },
     }
 

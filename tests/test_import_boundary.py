@@ -11,16 +11,12 @@ or for type checking.
 
 import ast
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import qccsim
+from golden_cli import ROOT, run_python
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 LAYERS = ("state", "protocol", "optimize", "classical", "concentration", "cli")
 PUBLIC = {
     "state": ["SchmidtPair", "epr_state", "make_shared_state"],
@@ -37,15 +33,6 @@ PUBLIC = {
 
 # (module, top-level function) where the package may import numpy
 NUMPY_HOMES = {("protocol", "monte_carlo"), ("protocol", "_input_rows")}
-
-
-def _python(*args, code=0):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == code, proc.stderr
-    return proc
 
 
 def _imported(stderr):
@@ -69,13 +56,16 @@ def _numpy(modules):
      "--format", "json"],
 ])
 def test_entry_points_do_not_import_numpy(args):
-    modules = _imported(_python("-X", "importtime", *args).stderr)
+    proc = run_python("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    modules = _imported(proc.stderr)
     assert "qccsim" in modules
     assert not _numpy(modules)
 
 
 def test_refused_request_does_not_import_numpy():
-    proc = _python("-X", "importtime", "-m", "qccsim", "exact", "--chi", "10", code=2)
+    proc = run_python("-X", "importtime", "-m", "qccsim", "exact", "--chi", "10")
+    assert proc.returncode == 2, proc.stderr
     assert "outside the canonical domain" in proc.stderr
     assert not _numpy(_imported(proc.stderr))
 
@@ -86,14 +76,18 @@ def test_refused_request_does_not_import_numpy():
     ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "31"],
 ])
 def test_text_output_loads_neither_json_nor_fractions(args):
-    lines = _python("-X", "importtime", "-m", "qccsim", *args).stderr.splitlines()
+    proc = run_python("-X", "importtime", "-m", "qccsim", *args)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
     # what the interpreter's own start-up loaded is listed before the package
     after = lines[[line.endswith("| qccsim") for line in lines].index(True):]
     assert not {"json", "fractions"} & _imported("\n".join(after))
 
 
 def test_simulate_imports_numpy():
-    proc = _python("-X", "importtime", "-m", "qccsim", "simulate", "--chi", "-30", "--trials", "10")
+    proc = run_python("-X", "importtime", "-m", "qccsim", "simulate", "--chi", "-30",
+                      "--trials", "10")
+    assert proc.returncode == 0, proc.stderr
     assert "numpy" in _numpy(_imported(proc.stderr))
 
 
@@ -118,7 +112,7 @@ def _numpy_imports(tree):
 
 def test_numpy_is_imported_only_inside_the_sampler():
     homes = set()
-    for path in sorted((SRC / "qccsim").glob("*.py")):
+    for path in sorted((ROOT / "src" / "qccsim").glob("*.py")):
         for line, function in _numpy_imports(ast.parse(path.read_text())):
             assert (path.stem, function) in NUMPY_HOMES, f"{path.name}:{line}"
             homes.add((path.stem, function))
@@ -126,19 +120,19 @@ def test_numpy_is_imported_only_inside_the_sampler():
 
 
 def test_cli_module_imports_every_layer():
-    out = _python("-c", "import sys, qccsim.cli; print(*sorted(sys.modules))").stdout.split()
+    out = run_python("-c", "import sys, qccsim.cli; print(*sorted(sys.modules))").stdout.split()
     assert {f"qccsim.{layer}" for layer in LAYERS} <= set(out)
 
 
 def test_bare_import_exposes_submodules():
     code = "import qccsim; print(*(getattr(qccsim, m).__name__ for m in %r))" % (LAYERS[:-1],)
-    assert _python("-c", code).stdout.split() == [f"qccsim.{m}" for m in LAYERS[:-1]]
+    assert run_python("-c", code).stdout.split() == [f"qccsim.{m}" for m in LAYERS[:-1]]
 
 
 def test_public_names_resolve_to_their_modules():
     assert sorted(qccsim.__all__) == sorted(n for names in PUBLIC.values() for n in names)
     # Before any of them loads, in a fresh interpreter, dir() lists them all.
-    listed = _python("-c", "import qccsim; print(*dir(qccsim))").stdout.split()
+    listed = run_python("-c", "import qccsim; print(*dir(qccsim))").stdout.split()
     assert {*qccsim.__all__, *LAYERS} <= set(listed)
     for module, names in PUBLIC.items():
         for name in names:

@@ -8,23 +8,18 @@ import pytest
 from qccsim.optimize import _correlation_bound, optimal_closed_form
 from qccsim.protocol import AngleSet, closed_form_p, exact_success_probability
 from qccsim.state import NORM_TOL, SchmidtPair, epr_state, make_shared_state
-from oracles import (angle_digits, brute_force_total, decimal_sin, four_angle_win,
-                     horodecki_bound, optimal_angle_halves)
+from oracles import (CHI_GRID, COS2_PI8, EPR_ANGLES, angle_digits, brute_force_total,
+                     decimal_sin, four_angle_win, horodecki_bound, optimal_angle_halves,
+                     p_max_formula, scan_optimum)
 
-COS2_PI8 = math.cos(math.pi / 8) ** 2
-CHI_GRID = [float(c) for c in np.linspace(-math.pi / 4, 0.0, 33)]
 # Both signs of alpha*beta: chi > 0 gives alpha*beta > 0.
 SIGNED_CHI_GRID = [float(c) for c in np.linspace(-math.pi / 4, math.pi / 4, 17)]
 
 
-def _p_max(alpha, beta):
-    return 0.5 + math.sqrt(1.0 + 4.0 * (alpha * beta) ** 2) / 4.0
-
-
 def test_epr_solution_reproduces_known_angles():
     sol = optimal_closed_form(epr_state())
-    assert abs(sol.phi1 + math.pi / 16) < 1e-12
-    assert abs(sol.phi2 - 3 * math.pi / 16) < 1e-12
+    assert abs(sol.phi1 - EPR_ANGLES[0]) < 1e-12
+    assert abs(sol.phi2 - EPR_ANGLES[1]) < 1e-12
     assert abs(sol.p_max - COS2_PI8) < 1e-12
     assert abs(sol.t + math.sqrt(2.0)) < 1e-12
 
@@ -42,7 +37,7 @@ def test_intermediate_solution_value():
     sol = optimal_closed_form(pair)
     assert abs(sol.p_max - 0.79154759474226499) < 1e-12
     assert abs(closed_form_p(pair, AngleSet(sol.phi1, sol.phi2)) - sol.p_max) < 1e-9
-    assert abs(_numpy_scan_optimum(pair)[2] - 0.79154759474226499) < 1e-9
+    assert abs(scan_optimum(*pair)[2] - 0.79154759474226499) < 1e-9
 
 
 def test_aux_ratio_definition():
@@ -71,40 +66,7 @@ def test_numeric_matches_closed_form():
     for chi in CHI_GRID[::4]:
         pair = make_shared_state(chi)
         sol = optimal_closed_form(pair)
-        assert abs(_numpy_scan_optimum(pair)[2] - sol.p_max) < 1e-9
-
-
-GRID_STEPS = 256  # the scan's grid is GRID_STEPS x GRID_STEPS
-REFINE_ITERS = 40  # compass-search step halvings after the scan
-
-
-def _numpy_scan_optimum(pair):
-    """``(phi1, phi2, p)`` maximizing ``closed_form_p`` by search, knowing nothing of its maximum.
-
-    The closed form over a GRID_STEPS x GRID_STEPS grid on [-pi/2, pi/2)^2
-    (its period in each angle), its first argmax, then REFINE_ITERS rounds
-    of compass search with a halving step.  The grid writes out the paper's
-    p = 1/2 + [cos 2phi1 cos 2phi2 + 2ab sin 2phi1 sin 2phi2
-    + (1 - 2ab)(sin^2 2phi2 - sin^2 2phi1)/2]/4 with numpy's cos and sin.
-    """
-    grid = -0.5 * math.pi + math.pi * np.arange(GRID_STEPS) / GRID_STEPS
-    c, s, ab = np.cos(2.0 * grid), np.sin(2.0 * grid), pair.alpha * pair.beta
-    values = 0.5 + (c[:, None] * c + 2 * ab * s[:, None] * s
-                    + (1 - 2 * ab) * (s * s - (s * s)[:, None]) / 2) / 4  # [phi1, phi2]
-    flat = int(np.argmax(values))
-    phi1, phi2 = float(grid[flat // GRID_STEPS]), float(grid[flat % GRID_STEPS])
-    best = float(values.flat[flat])
-    step = math.pi / GRID_STEPS
-    for _ in range(REFINE_ITERS):
-        moved, inner = True, 0
-        while moved and inner < 100:
-            moved, inner = False, inner + 1
-            for d1, d2 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                cand = closed_form_p(pair, AngleSet(phi1 + d1, phi2 + d2))
-                if cand > best:
-                    best, phi1, phi2, moved = cand, phi1 + d1, phi2 + d2, True
-        step *= 0.5
-    return phi1, phi2, best
+        assert abs(scan_optimum(*pair)[2] - sol.p_max) < 1e-9
 
 
 # The 33-state grid, then seeded chi in [-45, 45] degrees for both signs of alpha*beta.
@@ -141,7 +103,7 @@ def test_numeric_scan_equals_numpy_broadcast_scan(pair):
     # value at the closed-form angles.  For alpha*beta <= 0 the numpy scan,
     # which knows nothing of the maximum, finds it; for alpha*beta > 0 shared
     # angles reach only 3/4.  Either way the scan never beats the bound.
-    phi1, phi2, best = _numpy_scan_optimum(pair)
+    phi1, phi2, best = scan_optimum(*pair)
     assert abs(best - exact_success_probability(pair, AngleSet(phi1, phi2)).total) < 1e-12
     assert best <= _correlation_bound(pair) + 1e-12
     if pair.alpha * pair.beta <= 0.0:
@@ -161,8 +123,8 @@ def test_numeric_refuses_non_finite_amplitudes(alpha, beta):
 
 
 def test_numeric_endpoint_values():
-    assert abs(_numpy_scan_optimum(SchmidtPair(1.0, 0.0))[2] - 0.75) < 1e-9
-    assert abs(_numpy_scan_optimum(epr_state())[2] - COS2_PI8) < 1e-9
+    assert abs(scan_optimum(1.0, 0.0)[2] - 0.75) < 1e-9
+    assert abs(scan_optimum(*epr_state())[2] - COS2_PI8) < 1e-9
 
 
 def test_numeric_accepts_positive_product():
@@ -173,19 +135,19 @@ def test_numeric_accepts_positive_product():
     for chi_deg in (11.25, 22.5, 45.0):
         alpha, beta = math.cos(math.radians(chi_deg)), math.sin(math.radians(chi_deg))
         pair = SchmidtPair(alpha, beta)
-        phi1, phi2, p = _numpy_scan_optimum(pair)
+        phi1, phi2, p = scan_optimum(alpha, beta)
         assert abs(p - closed_form_p(pair, AngleSet(phi1, phi2))) < 1e-12
         assert abs(p - 0.75) < 1e-12
 
         sol = optimal_closed_form(SchmidtPair(alpha, -beta))
         relabeled = four_angle_win(alpha, beta, sol.phi1, sol.phi2, -sol.phi1, -sol.phi2)
-        assert abs(relabeled - _p_max(alpha, beta)) < 1e-12
+        assert abs(relabeled - p_max_formula(alpha, beta)) < 1e-12
 
 
 @pytest.mark.parametrize("chi", SIGNED_CHI_GRID)
 def test_horodecki_certificate_equals_p_max(chi):
     alpha, beta = math.cos(chi), math.sin(chi)
-    assert abs(horodecki_bound(alpha, beta) - _p_max(alpha, beta)) <= 1e-12
+    assert abs(horodecki_bound(alpha, beta) - p_max_formula(alpha, beta)) <= 1e-12
     # The package's bound writes the correlation matrix out from the amplitudes;
     # the oracle builds it from Pauli matrices and takes its singular values.
     pair = SchmidtPair(alpha, beta)

@@ -19,10 +19,7 @@ from qccsim.protocol import (
 from qccsim.concentration import concentration_strategy_value, concentration_success_probability
 from qccsim.optimize import optimal_closed_form
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-from oracles import brute_force_total, success_probability_full_input
-
-COS2_PI8 = math.cos(math.pi / 8) ** 2
-EPR_ANGLES = AngleSet(-math.pi / 16, 3 * math.pi / 16)
+from oracles import COS2_PI8, EPR_ANGLES, brute_force_total, success_probability_full_input
 
 
 def random_canonical_pair(rng):
@@ -76,7 +73,7 @@ def test_phi1_turns_a_low_bit_of_0_and_phi2_a_low_bit_of_1():
 
 
 def test_per_input_success_epr_values():
-    report = exact_success_probability(epr_state(), EPR_ANGLES)
+    report = exact_success_probability(epr_state(), AngleSet(*EPR_ANGLES))
     assert abs(report.p00 - COS2_PI8) < 1e-9
     assert abs(report.p11 - COS2_PI8) < 1e-9
 
@@ -127,8 +124,8 @@ def test_angle_sets_refuse_angles_whose_double_overflows():
     # closed_form_p evaluates sin(2 phi): 2e308 is inf, and math.sin(inf) raises.
     # An int beyond every float is refused alike, not with OverflowError.
     for build in (lambda: AngleSet(1e308, 0.0), lambda: AngleSet(0.0, -1e308),
-                  lambda: EPR_ANGLES._replace(phi1=1e308), lambda: AngleSet(10**400, 0.0),
-                  lambda: AngleSet(0.0, -10**400)):
+                  lambda: AngleSet(*EPR_ANGLES)._replace(phi1=1e308),
+                  lambda: AngleSet(10**400, 0.0), lambda: AngleSet(0.0, -10**400)):
         with pytest.raises(ValueError, match=r"^rotation angles must lie within \+-8\.98"):
             build()
     angles = AngleSet(8e307, 0.0)
@@ -156,7 +153,7 @@ def test_overflowing_amplitudes_are_rejected(evaluate, pair):
 
 
 def test_epr_symmetry_across_inputs():
-    report = exact_success_probability(epr_state(), EPR_ANGLES)
+    report = exact_success_probability(epr_state(), AngleSet(*EPR_ANGLES))
     for p in (report.p00, report.p01, report.p10, report.p11):
         assert abs(p - COS2_PI8) < 1e-9
 
@@ -193,7 +190,7 @@ def test_closed_form_product_state_zero_angles():
 
 
 def test_closed_form_epr_optimum():
-    assert abs(closed_form_p(epr_state(), EPR_ANGLES) - COS2_PI8) < 1e-12
+    assert abs(closed_form_p(epr_state(), AngleSet(*EPR_ANGLES)) - COS2_PI8) < 1e-12
 
 
 def test_closed_form_symmetric_angles_simplification():
@@ -301,7 +298,7 @@ def test_transcript_relations_hold_on_random_runs():
     pair = epr_state()
     for _ in range(2000):
         inputs = InputPair(int(rng.integers(4)), int(rng.integers(4)))
-        t = run_once(pair, EPR_ANGLES, inputs, rng)
+        t = run_once(pair, AngleSet(*EPR_ANGLES), inputs, rng)
         assert t.out_alice == t.out_bob == t.msg_alice ^ t.msg_bob
         assert t.msg_alice == t.a ^ inputs.x1
         assert t.msg_bob == t.b ^ inputs.y1
@@ -317,7 +314,7 @@ def test_monte_carlo_single_trial():
 
 
 def test_monte_carlo_epr_million_trials():
-    result = monte_carlo(epr_state(), EPR_ANGLES, 10**6, 42)
+    result = monte_carlo(epr_state(), AngleSet(*EPR_ANGLES), 10**6, 42)
     assert abs(result.estimate - COS2_PI8) < 5.0 * result.std_error
 
 
@@ -342,7 +339,7 @@ def test_monte_carlo_is_reproducible():
 
 
 def test_monte_carlo_counts_partition_trials():
-    result = monte_carlo(epr_state(), EPR_ANGLES, 10_000, 5)
+    result = monte_carlo(epr_state(), AngleSet(*EPR_ANGLES), 10_000, 5)
     totals = sum(n for _, n in result.per_input_counts.values())
     assert totals == 10_000
     assert set(result.per_input_counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -436,6 +433,7 @@ def test_monte_carlo_tallies_do_not_depend_on_chunk_size(pair, angles, monkeypat
 def test_monte_carlo_memory_is_bounded():
     # Chunked draws: the peak does not grow with the number of trials.
     pair, angles = make_shared_state(-0.5), AngleSet(0.2, -0.4)
+    monte_carlo(pair, angles, 1, 1)  # numpy loads numpy.random lazily, on the first call
     peaks = []
     for trials in (2**17, 2**22):
         tracemalloc.start()
@@ -462,4 +460,4 @@ def test_monte_carlo_within_five_sigma_across_seeds():
 
 def test_monte_carlo_rejects_zero_trials():
     with pytest.raises(ValueError):
-        monte_carlo(epr_state(), EPR_ANGLES, 0, 1)
+        monte_carlo(epr_state(), AngleSet(*EPR_ANGLES), 0, 1)

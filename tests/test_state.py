@@ -5,7 +5,7 @@ import pytest
 
 from qccsim.protocol import _outcome_table
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-from oracles import kron_rotate
+from oracles import COS2_PI8, EPR_ANGLES, kron_rotate
 
 SQH = math.sqrt(0.5)
 
@@ -101,10 +101,10 @@ def test_apply_local_rotations_quarter_turn():
 def test_apply_local_rotations_frozen_example():
     # (|00> - |11>)/sqrt(2) with Alice turned by -pi/16 and Bob by 3pi/16 (row x0 = 0, y0 = 1);
     # the amplitudes were computed once with the independent Kronecker-product oracle.
-    row = _outcome_table(SQH, -SQH, -math.pi / 16, 3 * math.pi / 16)[1]
+    row = _outcome_table(SQH, -SQH, *EPR_ANGLES)[1]
     amplitudes = (0.65328148243818829, 0.2705980500730984, 0.2705980500730984, -0.65328148243818829)
     np.testing.assert_allclose(row, np.square(amplitudes), rtol=0.0, atol=1e-12)
-    assert abs(row[0] + row[3] - math.cos(math.pi / 8) ** 2) < 1e-12
+    assert abs(row[0] + row[3] - COS2_PI8) < 1e-12
 
 
 def test_apply_local_rotations_matches_kron_oracle():
