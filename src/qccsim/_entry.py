@@ -17,14 +17,17 @@ Subcommands:
 
 Units: --chi/--chi-start/--chi-end are degrees (the canonical range is
 -45..0); --phi1/--phi2 and all angles in output are radians.  Exit codes:
-0 success, 1 the output file cannot be written or the request does not fit
-in memory (``sweep --steps 1000000000000000`` or more), 2 usage or domain
-error, 3 internal consistency failure, reported after the result is written.
+0 success, 1 stdout or the output file cannot be written or the request
+does not fit in memory (``sweep --steps 1000000000000000`` or more), 2 usage
+or domain error, 3 internal consistency failure, reported after the result is
+written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import math
 import re
 import sys
@@ -72,7 +75,10 @@ def _write(args: argparse.Namespace, body: dict, text: Iterable[str]) -> None:
     """Write one result to ``--out`` (default stdout): ``{"meta": ..., **body}``
     with ``--format json``, else the pieces of ``text``, iterated only then.
     Everything is computed and checked before ``--out`` is opened, then
-    written piece by piece, so no sweep is held as one string."""
+    written piece by piece, so no sweep is held as one string.  Stdout is
+    flushed here, so a failed write raises OSError (exit 1) inside ``main``;
+    stdout is then closed, dropping the bytes it could not write, so the
+    interpreter does not try them again at exit."""
     if args.format == "json":
         flags = {k: v for k, v in vars(args).items() if v is not None}
         meta = {"tool": "qccsim", "version": __version__, "command": args.command,
@@ -81,7 +87,16 @@ def _write(args: argparse.Namespace, body: dict, text: Iterable[str]) -> None:
     else:
         pieces = text
     if args.out is None:
-        sys.stdout.writelines(pieces)
+        stdout = sys.stdout
+        if stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError("stdout is closed")
+        try:
+            stdout.writelines(pieces)
+            stdout.flush()
+        except OSError:
+            with contextlib.suppress(OSError):
+                stdout.close()
+            raise
     else:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
@@ -203,4 +218,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The process entry: ``sys.exit(main())`` without the cyclic collector.
+
+    A command frees next to nothing through reference cycles, yet the
+    collector would run dozens of times while numpy imports and make full
+    passes at exit.  So it is off for the whole process, and every tracked
+    object is frozen before exit, which those passes then skip.  ``main``
+    leaves the collector alone for in-process callers.
+    """
+    gc.disable()
+    try:
+        code = main()
+    finally:  # also on argparse's SystemExit (usage errors, --help)
+        gc.freeze()
+    sys.exit(code)

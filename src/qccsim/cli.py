@@ -198,7 +198,10 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 def cmd_sweep(args: argparse.Namespace) -> None:
     if args.steps < 2:
         raise ValueError("--steps must be >= 2")
-    chis = _linspace(math.radians(args.chi_start), math.radians(args.chi_end), args.steps)
+    start, end = math.radians(args.chi_start), math.radians(args.chi_end)
+    for chi in (start, end):  # refused before the grid is built; each point is checked again
+        make_shared_state(chi)
+    chis = _linspace(start, end, args.steps)
     records = sweep_records(chis)
     _write(args, {"records": records}, _csv_lines(records))
 

@@ -11,7 +11,8 @@ root:
 It prints each call whose exit code or output differs from the golden file
 and exits 1 if there is one.  The tests run the CLI through this module's
 two runners, ``run_cli`` in process and ``run_python`` in a fresh
-interpreter, and read text reports with ``parse_kv``.
+interpreter (whose environment is ``python_env``), and read text reports with
+``parse_kv``.
 """
 
 import contextlib
@@ -111,12 +112,23 @@ def parse_kv(text: str) -> dict:
     return result
 
 
-def run_python(*args: str, cwd=ROOT) -> subprocess.CompletedProcess:
-    """``python *args`` as text, in a fresh interpreter that imports qccsim from ``src``."""
+def python_env(unset=()) -> dict:
+    """The environment of a fresh interpreter that imports qccsim from ``src``,
+    without the variables named in ``unset``."""
     env = dict(os.environ, COLUMNS="80")  # argparse wraps help text to the terminal width
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          cwd=cwd, timeout=120)
+    for name in unset:
+        env.pop(name, None)
+    return env
+
+
+def run_python(*args: str, cwd=ROOT, stdout=subprocess.PIPE, unset=()) -> subprocess.CompletedProcess:
+    """``python *args`` as text, in a fresh interpreter with ``python_env(unset)``.
+
+    Stderr is captured, and so is stdout unless ``stdout`` names another file.
+    """
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=python_env(unset), cwd=cwd, timeout=120)
 
 
 def capture_cli(sampled: bool = True) -> dict:

@@ -1,13 +1,16 @@
 import contextlib
+import gc
 import json
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from golden_cli import CLI_CALLS, CLI_HASHED_CALLS, GOLDEN, parse_kv, run_cli, run_python
+from golden_cli import (CLI_CALLS, CLI_HASHED_CALLS, GOLDEN, parse_kv, python_env, run_cli,
+                        run_python)
 from qccsim import cli
 from qccsim.protocol import AngleSet, closed_form_p
 from oracles import COS2_PI8, EPR_ANGLES, brute_force_total, horodecki_bound
@@ -275,6 +278,18 @@ def test_sweep_refuses_whole_grid_when_last_point_is_out_of_domain(fmt):
     assert "(1 deg)" in err
 
 
+def test_sweep_refuses_out_of_domain_end_before_the_grid(monkeypatch):
+    # 10000 points from -30 to 10 deg: the first refused one is an interior point near 0
+    def unreachable(*args):
+        raise AssertionError("the sweep grid was built")
+
+    monkeypatch.setattr(cli, "_linspace", unreachable)
+    monkeypatch.setattr(cli, "sweep_records", unreachable)
+    code, out, err = run_cli(["sweep", "--chi-start", "-30", "--chi-end", "10", "--steps", "10000"])
+    assert (code, out) == (2, "")
+    assert "(10 deg)" in err
+
+
 def test_refused_sweep_creates_no_file(tmp_path):
     out_file = tmp_path / "sweep.json"
     argv = ["sweep", "--chi-start", "-45", "--chi-end", "1", "--steps", "5", "--format", "json",
@@ -427,3 +442,63 @@ def test_module_invocation_is_byte_identical():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # sanity: produced output
+
+
+# Exact --chi -30 in a fresh interpreter whose stdout cannot take the report.
+# With PYTHONUNBUFFERED set, the write itself fails; without it, only the flush.
+EXACT = ["-m", "qccsim", "exact", "--chi", "-30"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_1_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = run_python(*EXACT, stdout=full, unset=["PYTHONUNBUFFERED"])
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # as sh -c 'exec >&-; python -m qccsim ...': fd 1 is closed when the interpreter starts
+    start = f"import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, *{EXACT!r}])"
+    proc = run_python("-c", start, unset=["PYTHONUNBUFFERED"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: stdout is closed\n"
+
+
+# --- the cyclic collector --------------------------------------------------------
+
+_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))
+sys.argv = ["qccsim", "exact", "--chi", "-30"]
+import qccsim._entry
+qccsim._entry.run()
+"""
+
+
+def test_process_entry_runs_without_the_collector_and_freezes_before_exit():
+    proc = run_python("-c", _PROBE)
+    assert (proc.returncode, proc.stderr) == (0, "False True\n")
+    assert proc.stdout == run_cli(["exact", "--chi", "-30"])[1]
+
+
+def test_main_leaves_the_collector_on():
+    assert gc.isenabled()
+    assert run_cli(["exact", "--chi", "-30"])[0] == 0
+    assert gc.isenabled()
+
+
+def _simulate_peak_rss_kib(trials: int) -> int:
+    argv = [sys.executable, "-m", "qccsim", "simulate", "--chi", "-30", "--trials", str(trials)]
+    pid = os.posix_spawn(sys.executable, argv, python_env(),
+                         file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss  # KiB on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_simulate_process_memory_does_not_grow_with_trials():
+    # the whole CLI process, collector off: 100 times the trials, the same peak
+    small, large = _simulate_peak_rss_kib(10**5), _simulate_peak_rss_kib(10**7)
+    assert large - small <= 2 * 1024, f"peak RSS {small} KiB at 1e5 trials, {large} KiB at 1e7"
