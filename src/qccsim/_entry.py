@@ -29,6 +29,7 @@ import argparse
 import contextlib
 import gc
 import math
+import os
 import re
 import sys
 from itertools import chain
@@ -76,9 +77,8 @@ def _write(args: argparse.Namespace, body: dict, text: Iterable[str]) -> None:
     with ``--format json``, else the pieces of ``text``, iterated only then.
     Everything is computed and checked before ``--out`` is opened, then
     written piece by piece, so no sweep is held as one string.  Stdout is
-    flushed here, so a failed write raises OSError (exit 1) inside ``main``;
-    stdout is then closed, dropping the bytes it could not write, so the
-    interpreter does not try them again at exit."""
+    flushed here (``_flush``), so a failed write raises OSError (exit 1)
+    inside ``main``."""
     if args.format == "json":
         flags = {k: v for k, v in vars(args).items() if v is not None}
         meta = {"tool": "qccsim", "version": __version__, "command": args.command,
@@ -87,19 +87,25 @@ def _write(args: argparse.Namespace, body: dict, text: Iterable[str]) -> None:
     else:
         pieces = text
     if args.out is None:
-        stdout = sys.stdout
-        if stdout is None:  # fd 1 was closed when the interpreter started
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
             raise OSError("stdout is closed")
-        try:
-            stdout.writelines(pieces)
-            stdout.flush()
-        except OSError:
-            with contextlib.suppress(OSError):
-                stdout.close()
-            raise
+        _flush(sys.stdout, pieces)
     else:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
+
+
+def _flush(stdout, pieces: Iterable[str] = ()) -> None:
+    """Write ``pieces`` to ``stdout`` and flush it.  If that fails, stdout is
+    closed, dropping the bytes it could not write, so the interpreter does
+    not try them again at exit, and the OSError propagates."""
+    try:
+        stdout.writelines(pieces)
+        stdout.flush()
+    except OSError:
+        with contextlib.suppress(OSError):
+            stdout.close()
+        raise
 
 
 def _kv_report(fields: list[tuple[str, object]]) -> Iterator[str]:
@@ -223,12 +229,30 @@ def run() -> None:
     A command frees next to nothing through reference cycles, yet the
     collector would run dozens of times while numpy imports and make full
     passes at exit.  So it is off for the whole process, and every tracked
-    object is frozen before exit, which those passes then skip.  ``main``
-    leaves the collector alone for in-process callers.
+    object is frozen before exit, which those passes then skip.
+
+    OpenBLAS, which numpy loads for ``simulate``, would start a worker thread
+    per core that the package never uses; on a busy host the idle worker
+    spins on the main thread's core while numpy imports.  So the process
+    asks for one thread, unless the caller set ``OPENBLAS_NUM_THREADS``.
+
+    The help and usage text argparse prints is flushed here, so a stdout
+    that cannot take it exits 1 with one error line, as in ``main``.
+    ``main`` leaves the collector, the environment and stdout alone for
+    in-process callers.
     """
     gc.disable()
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = main()
-    finally:  # also on argparse's SystemExit (usage errors, --help)
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+        if sys.stdout is not None:
+            try:
+                _flush(sys.stdout)
+            except OSError as err:
+                print(f"error: {err}", file=sys.stderr)
+                code = 1
+    finally:
         gc.freeze()
     sys.exit(code)

@@ -20,8 +20,8 @@ from qccsim.protocol import (
     monte_carlo,
 )
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-from oracles import (CHI_GRID, COS2_PI8, EPR_ANGLES, SLOPE, brute_force_total, p_max_formula,
-                     procrustean_filter, scan_optimum, vidal_bound)
+from oracles import (CHI_GRID, COS2_PI8, EPR_ANGLES, SLOPE, brute_force_total, procrustean_filter,
+                     vidal_bound)
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -57,17 +57,6 @@ def test_c03_closed_form_agrees_with_brute_force():
     elapsed = time.perf_counter() - start
     report(3, "closed form matches outcome enumeration on 1000 random cases",
            worst < 1e-12, f"worst={worst:.2e} elapsed={elapsed:.2f}s")
-
-
-def test_c04_numeric_maximizer_confirms_the_formula():
-    start = time.perf_counter()
-    worst = 0.0
-    for chi in CHI_GRID:
-        pair = make_shared_state(chi)
-        worst = max(worst, abs(scan_optimum(*pair)[2] - p_max_formula(*pair)))
-    elapsed = time.perf_counter() - start
-    report(4, "zoomed grid maximizer matches the p_max formula on 33 states",
-           worst < 1e-9, f"worst={worst:.2e} elapsed={elapsed:.2f}s")
 
 
 def test_c05_classical_protocols_cap_at_three_quarters():

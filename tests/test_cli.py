@@ -451,10 +451,12 @@ EXACT = ["-m", "qccsim", "exact", "--chi", "-30"]
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_exits_1_with_one_error_line():
-    with open("/dev/full", "w") as full:
-        proc = run_python(*EXACT, stdout=full, unset=["PYTHONUNBUFFERED"])
-    assert proc.returncode == 1
-    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+    # a report, and the help that argparse prints before main's own handling
+    for argv in (EXACT, ["-m", "qccsim", "--help"], ["-m", "qccsim", "exact", "--help"]):
+        with open("/dev/full", "w") as full:
+            proc = run_python(*argv, stdout=full, unset=["PYTHONUNBUFFERED"])
+        assert proc.returncode == 1, argv
+        assert proc.stderr == "error: [Errno 28] No space left on device\n", argv
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
@@ -480,6 +482,28 @@ def test_process_entry_runs_without_the_collector_and_freezes_before_exit():
     proc = run_python("-c", _PROBE)
     assert (proc.returncode, proc.stderr) == (0, "False True\n")
     assert proc.stdout == run_cli(["exact", "--chi", "-30"])[1]
+
+
+_BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status") or "openblas" not in _BLAS,
+                    reason="needs /proc and numpy on OpenBLAS")
+def test_simulate_process_keeps_one_thread_unless_the_caller_sets_openblas_threads():
+    # OpenBLAS would start a worker per core; a caller's own setting still wins
+    probe = """
+import atexit, os, sys
+if {preset!r}:
+    os.environ["OPENBLAS_NUM_THREADS"] = {preset!r}
+status = open("/proc/self/status").read
+atexit.register(lambda: print(status().split("Threads:")[1].split()[0], file=sys.stderr))
+sys.argv = ["qccsim", "simulate", "--chi", "-30", "--trials", "1000"]
+import qccsim._entry
+qccsim._entry.run()
+"""
+    for preset, threads in ((None, "1"), ("2", "2")):
+        proc = run_python("-c", probe.format(preset=preset), unset=["OPENBLAS_NUM_THREADS"])
+        assert (proc.returncode, proc.stderr) == (0, threads + "\n"), preset
 
 
 def test_main_leaves_the_collector_on():

@@ -69,30 +69,12 @@ def test_curves_meet_at_endpoints():
 BETA_SQ_GRID = np.linspace(0.0, 0.5, 101)
 
 
-def test_procrustean_filter_is_complete():
-    for beta_sq in BETA_SQ_GRID:
-        pair = pair_for_beta_sq(float(beta_sq))
-        m0, m1 = procrustean_filter(pair.alpha, pair.beta)
-        assert np.allclose(m0.T @ m0 + m1.T @ m1, np.eye(4), rtol=0.0, atol=1e-12)
-
-
 def test_filter_success_probability_is_the_coin():
     for beta_sq in BETA_SQ_GRID:
         pair = pair_for_beta_sq(float(beta_sq))
         m0, _ = procrustean_filter(pair.alpha, pair.beta)
         filtered = m0 @ np.array([pair.alpha, 0.0, 0.0, pair.beta])
         assert abs(filtered @ filtered - concentration_success_probability(pair)) < 1e-14
-
-
-def test_filtered_state_is_the_epr_state():
-    epr = epr_state()
-    target = np.array([epr.alpha, 0.0, 0.0, epr.beta])
-    for beta_sq in BETA_SQ_GRID[1:]:
-        pair = pair_for_beta_sq(float(beta_sq))
-        m0, _ = procrustean_filter(pair.alpha, pair.beta)
-        filtered = m0 @ np.array([pair.alpha, 0.0, 0.0, pair.beta])
-        fidelity = (target @ filtered) ** 2 / (filtered @ filtered)
-        assert abs(fidelity - 1.0) < 1e-12
 
 
 def test_vidal_bound_is_the_coin():

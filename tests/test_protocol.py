@@ -382,6 +382,22 @@ def test_monte_carlo_tallies_equal_looped_run_once_where_edges_coincide(pair):
     assert monte_carlo(pair, angles, n, seed).per_input_counts == want
 
 
+# Every row's edges put the first trial's uniform u exactly on its first edge, or on its
+# last: a uniform on an edge counts as above it, so u gives odd parity on the first
+# (outcome 2) and even parity on the last (outcome 3).
+@pytest.mark.parametrize("edges", [lambda u: (u, u, 1.0), lambda u: (0.0, u, u)],
+                         ids=["first", "last"])
+def test_a_uniform_on_an_edge_counts_as_above_it(edges, monkeypatch):
+    n, seed = 5, 3
+    twin = np.random.default_rng(seed)
+    twin.bit_generator.advance(n)
+    table = (edges(twin.random()),) * 4
+    monkeypatch.setattr(protocol, "_outcome_edges", lambda *_: table)
+    pair, angles = epr_state(), AngleSet(0.0, 0.0)
+    want = _looped_run_once_counts(pair, angles, n, seed)
+    assert monte_carlo(pair, angles, n, seed).per_input_counts == want
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1])
 def test_input_block_advances_one_word_per_row(n):
     # monte_carlo draws its uniforms from a twin advanced by `trials` words,
