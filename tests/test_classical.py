@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -91,8 +90,6 @@ def test_sequential_message_wiring():
 
 def test_enumeration_simultaneous():
     result = enumerate_best(MODE_SIMULTANEOUS)
-    assert result.best_success_count == 12
-    assert result.best_probability == Fraction(3, 4)
     assert result.mode == MODE_SIMULTANEOUS
     assert result.protocols_examined == 16 * 16 * 256 * 256
     assert evaluate_protocol(result.witness) == 12
@@ -100,8 +97,6 @@ def test_enumeration_simultaneous():
 
 def test_enumeration_sequential():
     result = enumerate_best(MODE_SEQUENTIAL)
-    assert result.best_success_count == 12
-    assert result.best_probability == Fraction(3, 4)
     assert result.protocols_examined == 16 * 256 * 256 * 256
     assert evaluate_protocol(result.witness) == 12
     witness = result.witness

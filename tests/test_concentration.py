@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import COS2_PI8, SLOPE, kron_rotate, procrustean_filter, vidal_bound
+from oracles import COS2_PI8, SLOPE, kron_rotate, vidal_bound
 from qccsim.classical import baseline_protocol, run_protocol
 from qccsim.concentration import (
     concentration_strategy_value,
@@ -25,11 +25,6 @@ def test_success_probability_values():
     assert concentration_success_probability(pair_for_beta_sq(0.25)) == 0.5
 
 
-def test_strategy_value_endpoints():
-    assert concentration_strategy_value(SchmidtPair(1.0, 0.0)) == 0.75
-    assert abs(concentration_strategy_value(epr_state()) - COS2_PI8) < 1e-12
-
-
 def test_strategy_value_quarter_point():
     assert abs(concentration_strategy_value(pair_for_beta_sq(0.25)) - 0.80177669529663687) < 1e-12
 
@@ -49,52 +44,17 @@ def test_value_is_affine_in_beta_squared():
         assert abs(slope - SLOPE) < 1e-12
 
 
-def test_concentration_never_beats_direct_play():
-    for beta_sq in np.linspace(0.0, 0.5, 101):
-        pair = pair_for_beta_sq(float(beta_sq))
-        direct = optimal_closed_form(pair).p_max
-        concentrated = concentration_strategy_value(pair)
-        assert concentrated <= direct + 1e-12
-        if 0.01 < beta_sq < 0.49:
-            assert concentrated < direct - 1e-6
-
-
-def test_curves_meet_at_endpoints():
-    for beta_sq in (0.0, 0.5):
-        pair = pair_for_beta_sq(beta_sq)
-        gap = optimal_closed_form(pair).p_max - concentration_strategy_value(pair)
-        assert abs(gap) < 1e-12
-
-
-BETA_SQ_GRID = np.linspace(0.0, 0.5, 101)
-
-
-def test_filter_success_probability_is_the_coin():
-    for beta_sq in BETA_SQ_GRID:
-        pair = pair_for_beta_sq(float(beta_sq))
-        m0, _ = procrustean_filter(pair.alpha, pair.beta)
-        filtered = m0 @ np.array([pair.alpha, 0.0, 0.0, pair.beta])
-        assert abs(filtered @ filtered - concentration_success_probability(pair)) < 1e-14
-
-
 def test_vidal_bound_is_the_coin():
     # The bound depends only on the Schmidt coefficients, so local rotations,
     # which make the reduced density matrix non-diagonal, leave it unchanged.
     epr = epr_state()
     target = [epr.alpha, 0.0, 0.0, epr.beta]
-    for beta_sq in BETA_SQ_GRID:
+    for beta_sq in np.linspace(0.0, 0.5, 101):
         pair = pair_for_beta_sq(float(beta_sq))
         coin = concentration_success_probability(pair)
         for angles in ((0.0, 0.0), (0.3, -1.1)):
             source = kron_rotate([pair.alpha, 0.0, 0.0, pair.beta], *angles)
             assert abs(vidal_bound(source, target) - coin) < 1e-14
-
-
-@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
-def test_non_finite_beta_is_refused(beta):
-    # Even built raw, the pair refuses it, so no concentration function ever sees it.
-    with pytest.raises(ValueError, match="^amplitudes not normalized: "):
-        SchmidtPair(0.8, beta)
 
 
 def _gap(pair: SchmidtPair) -> float:
@@ -163,14 +123,6 @@ def test_simulation_epr_branch_plays_the_entangled_strategy():
         t = simulate_concentration_run(epr_state(), inputs, rng)
         assert t.out_alice == t.out_bob == t.msg_alice ^ t.msg_bob
         assert t.success == (t.out_alice == target_function(inputs))
-
-
-def test_simulation_is_reproducible():
-    pair = pair_for_beta_sq(0.25)
-    rng1, rng2 = np.random.default_rng(77), np.random.default_rng(77)
-    seq1 = [simulate_concentration_run(pair, InputPair(i % 4, i % 3), rng1) for i in range(500)]
-    seq2 = [simulate_concentration_run(pair, InputPair(i % 4, i % 3), rng2) for i in range(500)]
-    assert seq1 == seq2
 
 
 def test_vectorized_two_branch_oracle_matches_value():

@@ -76,7 +76,9 @@ def capture() -> dict:
         },
         "monte_carlo": {
             "epr": _counts(epr_state(), epr_angles, 10_000, 5),
-            "chi=-0.5": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4), 50_000, 99),
+            # numpy integers, as a generator draws them
+            "chi=-0.5": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4), np.int64(50_000),
+                                np.int64(99)),
             "chi=-pi/8": _counts(partial, partial_angles, 20_000, 43),
             # several chunks, the last one partial
             "chi=-0.5 3*2^16+5": _counts(make_shared_state(-0.5), AngleSet(0.2, -0.4),

@@ -10,16 +10,16 @@ from qccsim.protocol import (
     InputPair,
     _input_rows,
     _outcome_edges,
+    _outcome_table,
     closed_form_p,
     exact_success_probability,
     monte_carlo,
     run_once,
     target_function,
 )
-from qccsim.concentration import concentration_strategy_value, concentration_success_probability
 from qccsim.optimize import optimal_closed_form
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-from oracles import COS2_PI8, EPR_ANGLES, brute_force_total, success_probability_full_input
+from oracles import EPR_ANGLES, brute_force_total, kron_rotate, success_probability_full_input
 
 
 def random_canonical_pair(rng):
@@ -27,14 +27,6 @@ def random_canonical_pair(rng):
 
 
 # --- target function and angle choice ---------------------------------------
-
-
-@pytest.mark.parametrize(
-    "x,y,expected",
-    [(0b00, 0b00, 0), (0b01, 0b11, 0), (0b10, 0b01, 1)],
-)
-def test_target_function_examples(x, y, expected):
-    assert target_function(InputPair(x, y)) == expected
 
 
 def test_target_function_full_table():
@@ -69,34 +61,52 @@ def test_phi1_turns_a_low_bit_of_0_and_phi2_a_low_bit_of_1():
     np.testing.assert_allclose(report[:4], (0.5, 0.5, 0.5, 0.0), atol=1e-12)
 
 
+# --- local rotations and measurement: protocol._outcome_table ---------------
+# Row 2*x0 + y0 of the table holds the outcome probabilities, in basis order,
+# after Alice turns by phi[x0] and Bob by phi[y0].
+
+
+def test_outcome_table_identity():
+    # unrotated, the pair alpha|00> + beta|11> gives |00> or |11>, in every row
+    pairs = [SchmidtPair(1.0, 0.0), epr_state(), make_shared_state(-math.pi / 6),
+             make_shared_state(-0.3), SchmidtPair(0.6, 0.8)]
+    for pair in pairs:
+        alpha, beta = pair.alpha, pair.beta
+        assert _outcome_table(alpha, beta, 0.0, 0.0) == [(alpha * alpha, 0.0, 0.0, beta * beta)] * 4
+
+
+def test_outcome_table_quarter_turn():
+    # |00> with a quarter turn on the low bit 1: Alice's (row x0 = 1, y0 = 0) gives |10>,
+    # Bob's (row x0 = 0, y0 = 1) gives |01>, both give |11>.
+    table = _outcome_table(1.0, 0.0, 0.0, math.pi / 2)
+    for row, want in zip(table, [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                                 (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)]):
+        np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-12)
+
+
+def test_outcome_table_frozen_example():
+    # (|00> - |11>)/sqrt(2) with Alice turned by -pi/16 and Bob by 3pi/16 (row x0 = 0, y0 = 1);
+    # the amplitudes were computed once with the independent Kronecker-product oracle.
+    row = _outcome_table(math.sqrt(0.5), -math.sqrt(0.5), *EPR_ANGLES)[1]
+    amplitudes = (0.65328148243818829, 0.2705980500730984, 0.2705980500730984, -0.65328148243818829)
+    np.testing.assert_allclose(row, np.square(amplitudes), rtol=0.0, atol=1e-12)
+
+
+def test_outcome_table_matches_kron_oracle():
+    # Pairs over the whole circle, so both signs of alpha and beta.  Turning one party the
+    # wrong way changes these probabilities; turning both the wrong way changes none.
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        alpha, beta = math.cos(theta), math.sin(theta)
+        phi = rng.uniform(-math.pi, math.pi, size=2).tolist()
+        table = _outcome_table(alpha, beta, *phi)
+        for row, (x0, y0) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            want = kron_rotate([alpha, 0.0, 0.0, beta], phi[x0], phi[y0]) ** 2
+            np.testing.assert_allclose(table[row], want, rtol=0.0, atol=1e-12)
+
+
 # --- exact per-input probabilities ------------------------------------------
-
-
-def test_per_input_success_epr_values():
-    report = exact_success_probability(epr_state(), AngleSet(*EPR_ANGLES))
-    assert abs(report.p00 - COS2_PI8) < 1e-9
-    assert abs(report.p11 - COS2_PI8) < 1e-9
-
-
-def test_per_input_success_unrotated_product_state():
-    # state stays |00>, but input 11 needs odd outcome parity
-    assert exact_success_probability(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0)).p11 == 0.0
-
-
-# Raw fields, not built values: a pair or angle set refuses them when it is built,
-# so no evaluation (exact, closed form, run_once, monte_carlo) ever sees them.
-@pytest.mark.parametrize(
-    "pair,angles",
-    [
-        ((1.0, 0.0), (math.nan, 0.0)),
-        ((1.0, 0.0), (0.0, math.inf)),
-        ((1.0, 0.0), (-math.inf, 0.0)),
-        ((math.nan, 0.0), (0.1, 0.2)),
-    ],
-)
-def test_non_finite_inputs_are_rejected(pair, angles):
-    with pytest.raises(ValueError):
-        exact_success_probability(SchmidtPair(*pair), AngleSet(*angles))
 
 
 @pytest.mark.parametrize("field", range(4))  # alpha, beta, phi1, phi2
@@ -133,35 +143,11 @@ def test_angle_sets_refuse_angles_whose_double_overflows():
     assert all(math.isfinite(p) for p in exact_success_probability(epr_state(), angles))
 
 
-# Finite raw amplitudes whose products overflow.  The pair refuses them when it
-# is built, so none of the evaluations below ever receives them.
-HUGE, LARGE = (1e200, -1e200), (1e80, -1e80)
-
-
-@pytest.mark.parametrize("evaluate,pair", [
-    (lambda pair: closed_form_p(pair, AngleSet(0.1, 0.2)), HUGE),
-    (lambda pair: exact_success_probability(pair, AngleSet(0.1, 0.2)), HUGE),
-    (optimal_closed_form, HUGE),
-    (optimal_closed_form, LARGE),  # only 4 alpha^2 beta^2 overflows
-    (concentration_strategy_value, HUGE),
-    (concentration_success_probability, HUGE),
-], ids=["closed_form_p", "exact", "closed_form_huge", "closed_form_large",
-        "concentration_value", "concentration_coin"])
-def test_overflowing_amplitudes_are_rejected(evaluate, pair):
-    with pytest.raises(ValueError, match="^amplitudes not normalized: "):
-        evaluate(SchmidtPair(*pair))
-
-
-def test_epr_symmetry_across_inputs():
-    report = exact_success_probability(epr_state(), AngleSet(*EPR_ANGLES))
-    for p in (report.p00, report.p01, report.p10, report.p11):
-        assert abs(p - COS2_PI8) < 1e-9
-
-
 def test_symmetry_breaking_at_zero_entanglement():
     report = exact_success_probability(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0))
     assert (report.p00, report.p01, report.p10, report.p11) == (1.0, 1.0, 1.0, 0.0)
     assert report.total == 0.75
+    assert closed_form_p(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0)) == 0.75
 
 
 def test_exact_total_is_mean_of_per_input():
@@ -183,14 +169,6 @@ def test_exact_matches_brute_force_frozen_example():
 
 
 # --- closed form -------------------------------------------------------------
-
-
-def test_closed_form_product_state_zero_angles():
-    assert closed_form_p(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0)) == 0.75
-
-
-def test_closed_form_epr_optimum():
-    assert abs(closed_form_p(epr_state(), AngleSet(*EPR_ANGLES)) - COS2_PI8) < 1e-12
 
 
 def test_closed_form_symmetric_angles_simplification():
@@ -285,14 +263,6 @@ def test_run_once_epr_outcome_frequencies():
     assert sum(drawn for _, drawn in counts.values()) == 10**6
 
 
-def test_run_once_streams_are_reproducible():
-    angles = AngleSet(0.3, -0.7)
-    rng1, rng2 = np.random.default_rng(123), np.random.default_rng(123)
-    seq1 = [run_once(epr_state(), angles, InputPair(i % 4, i % 3), rng1) for i in range(1000)]
-    seq2 = [run_once(epr_state(), angles, InputPair(i % 4, i % 3), rng2) for i in range(1000)]
-    assert seq1 == seq2
-
-
 def test_transcript_relations_hold_on_random_runs():
     rng = np.random.default_rng(31)
     pair = epr_state()
@@ -311,38 +281,6 @@ def test_transcript_relations_hold_on_random_runs():
 def test_monte_carlo_single_trial():
     result = monte_carlo(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0), 1, 7)
     assert result.estimate in (0.0, 1.0)
-
-
-def test_monte_carlo_epr_million_trials():
-    result = monte_carlo(epr_state(), AngleSet(*EPR_ANGLES), 10**6, 42)
-    assert abs(result.estimate - COS2_PI8) < 5.0 * result.std_error
-
-
-def test_monte_carlo_partially_entangled_million_trials():
-    pair = make_shared_state(-math.pi / 8)
-    sol = optimal_closed_form(pair)
-    angles = AngleSet(sol.phi1, sol.phi2)
-    result = monte_carlo(pair, angles, 10**6, 43)
-    assert abs(result.estimate - closed_form_p(pair, angles)) < 5.0 * result.std_error
-
-
-def test_monte_carlo_is_reproducible():
-    pair = make_shared_state(-0.5)
-    angles = AngleSet(0.2, -0.4)
-    first = monte_carlo(pair, angles, 50_000, 99)
-    second = monte_carlo(pair, angles, 50_000, 99)
-    assert first.estimate == second.estimate
-    assert first.std_error == second.std_error
-    assert first.per_input_counts == second.per_input_counts
-    typed = monte_carlo(pair, angles, np.int64(50_000), np.int64(99))  # numpy integers alike
-    assert typed == first
-
-
-def test_monte_carlo_counts_partition_trials():
-    result = monte_carlo(epr_state(), AngleSet(*EPR_ANGLES), 10_000, 5)
-    totals = sum(n for _, n in result.per_input_counts.values())
-    assert totals == 10_000
-    assert set(result.per_input_counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def _looped_run_once_counts(pair, angles, n, seed):
@@ -396,20 +334,6 @@ def test_a_uniform_on_an_edge_counts_as_above_it(edges, monkeypatch):
     pair, angles = epr_state(), AngleSet(0.0, 0.0)
     want = _looped_run_once_counts(pair, angles, n, seed)
     assert monte_carlo(pair, angles, n, seed).per_input_counts == want
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1])
-def test_input_block_advances_one_word_per_row(n):
-    # monte_carlo draws its uniforms from a twin advanced by `trials` words,
-    # which holds because numpy packs two small integers per 64-bit word.
-    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
-    rng.integers(0, 4, size=(n, 2))
-    twin.bit_generator.advance(n)
-    drew, advanced = rng.bit_generator.state, twin.bit_generator.state
-    # With no 32-bit half buffered, the stale "uinteger" field is never read.
-    assert drew["has_uint32"] == advanced["has_uint32"] == 0
-    assert drew["state"] == advanced["state"]
-    assert rng.random(4).tolist() == twin.random(4).tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**40 + 3])
