@@ -45,6 +45,12 @@ def test_renormalized_amplitudes_get_a_note_on_stderr():
     assert not any(RENORMALIZED in record["stderr"] for record in pinned.values())
 
 
+def test_exact_rejects_positive_beta():
+    code, _, err = run_cli(["exact", "--alpha", "0.8", "--beta", "0.6"])
+    assert code == 2
+    assert "error" in err
+
+
 def test_exact_rejects_conflicting_parameterizations():
     code, _, _ = run_cli(["exact", "--chi", "-10", "--alpha", "0.9", "--beta", "-0.4"])
     assert code == 2
@@ -223,6 +229,11 @@ def test_sweep_json_is_written_record_by_record():
 
 
 # --- simulate ----------------------------------------------------------------
+
+
+def test_simulate_rejects_zero_trials():
+    code, _, _ = run_cli(["simulate", "--chi", "0", "--trials", "0"])
+    assert code == 2
 
 
 def test_simulate_rejects_negative_seed():

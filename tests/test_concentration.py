@@ -25,6 +25,11 @@ def test_success_probability_values():
     assert concentration_success_probability(pair_for_beta_sq(0.25)) == 0.5
 
 
+def test_strategy_value_endpoints():
+    assert concentration_strategy_value(SchmidtPair(1.0, 0.0)) == 0.75
+    assert abs(concentration_strategy_value(epr_state()) - COS2_PI8) < 1e-12
+
+
 def test_strategy_value_quarter_point():
     assert abs(concentration_strategy_value(pair_for_beta_sq(0.25)) - 0.80177669529663687) < 1e-12
 
@@ -44,6 +49,13 @@ def test_value_is_affine_in_beta_squared():
         assert abs(slope - SLOPE) < 1e-12
 
 
+def test_curves_meet_at_endpoints():
+    for beta_sq in (0.0, 0.5):
+        pair = pair_for_beta_sq(beta_sq)
+        gap = optimal_closed_form(pair).p_max - concentration_strategy_value(pair)
+        assert abs(gap) < 1e-12
+
+
 def test_vidal_bound_is_the_coin():
     # The bound depends only on the Schmidt coefficients, so local rotations,
     # which make the reduced density matrix non-diagonal, leave it unchanged.
@@ -55,6 +67,13 @@ def test_vidal_bound_is_the_coin():
         for angles in ((0.0, 0.0), (0.3, -1.1)):
             source = kron_rotate([pair.alpha, 0.0, 0.0, pair.beta], *angles)
             assert abs(vidal_bound(source, target) - coin) < 1e-14
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_non_finite_beta_is_refused(beta):
+    # Even built raw, the pair refuses it, so no concentration function ever sees it.
+    with pytest.raises(ValueError, match="^amplitudes not normalized: "):
+        SchmidtPair(0.8, beta)
 
 
 def _gap(pair: SchmidtPair) -> float:

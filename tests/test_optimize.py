@@ -6,29 +6,92 @@ import numpy as np
 import pytest
 
 from qccsim.optimize import _correlation_bound, optimal_closed_form
-from qccsim.protocol import AngleSet, closed_form_p
+from qccsim.protocol import AngleSet, closed_form_p, exact_success_probability
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
 from oracles import (CHI_GRID, angle_digits, decimal_sin, four_angle_win, horodecki_bound,
-                     optimal_angle_halves, p_max_formula)
+                     optimal_angle_halves, p_max_formula, scan_optimum)
 
-# Both signs of alpha*beta: chi > 0 gives alpha*beta > 0.  Then the edges of the
-# certificate, where the three |T_ii| of _correlation_bound tie: the EPR state
-# (alpha*beta = -1/2 - ulp), one ulp above alpha*beta = +1/2 where the product
-# rounds up, and alpha = beta on the edge of the normalization tolerance, where
-# they tie above 1.  The grid holds the product state (chi = 0, bound 3/4) and
-# alpha*beta = +1/2 exactly (chi = pi/4).
+# States at the edges of the certificate: at chi = 0 the pair is a product
+# state, and the bound is 3/4.  Elsewhere the three |T_ii| of
+# _correlation_bound tie: for the EPR state (alpha*beta = -1/2), at
+# alpha*beta = +1/2, one ulp above it where the product rounds up, and at
+# alpha = beta on the edge of the normalization tolerance, where they tie above 1.
+_SCAN_EDGES = {
+    "product": SchmidtPair(1.0, 0.0),
+    "epr": epr_state(),
+    "ab=+1/2": SchmidtPair(0.7071067811865476, 0.7071067811865475),
+    "ab=+1/2+ulp": SchmidtPair(math.sqrt(0.5), math.sqrt(0.5)),
+    "ab=(1+tol)/2": SchmidtPair(*[math.sqrt((1.0 + 0.999e-12) / 2.0)] * 2),
+}
+_EDGE_PAIRS = [pytest.param(pair, id=name) for name, pair in _SCAN_EDGES.items()]
+# Both signs of alpha*beta: chi > 0 gives alpha*beta > 0.  Then the edges.
 CERTIFICATE_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c)), id=str(c))
-                     for c in np.linspace(-math.pi / 4, math.pi / 4, 17).tolist()]
-CERTIFICATE_PAIRS += [pytest.param(epr_state(), id="epr"),
-                      pytest.param(SchmidtPair(math.sqrt(0.5), math.sqrt(0.5)), id="ab=+1/2+ulp"),
-                      pytest.param(SchmidtPair(*[math.sqrt((1.0 + 0.999e-12) / 2.0)] * 2),
-                                   id="ab=(1+tol)/2")]
+                     for c in np.linspace(-math.pi / 4, math.pi / 4, 17).tolist()] + _EDGE_PAIRS
+# The 33-state grid, then seeded chi in [-45, 45] degrees for both signs of alpha*beta.
+_SCAN_CHIS = CHI_GRID + np.random.default_rng(41).uniform(-math.pi / 4, math.pi / 4, 64).tolist()
+_SCAN_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c)), id=str(c))
+               for c in _SCAN_CHIS] + _EDGE_PAIRS
+
+
+def test_aux_ratio_definition():
+    for chi in CHI_GRID:
+        pair = make_shared_state(chi)
+        ab = pair.alpha * pair.beta
+        sol = optimal_closed_form(pair)
+        assert abs(sol.t - 4.0 * ab / math.sqrt(1.0 + 4.0 * ab * ab)) < 1e-12
+
+
+def test_closed_form_angles_achieve_p_max_on_grid():
+    for chi in CHI_GRID:
+        pair = make_shared_state(chi)
+        sol = optimal_closed_form(pair)
+        achieved = closed_form_p(pair, AngleSet(sol.phi1, sol.phi2))
+        assert abs(achieved - sol.p_max) < 1e-9
+
+
+def test_product_state_solution():
+    sol = optimal_closed_form(SchmidtPair(1.0, 0.0))
+    assert sol.t == 0.0
+    assert sol.phi1 == 0.0 and sol.phi2 == 0.0
+    assert sol.p_max == 0.75
 
 
 def test_positive_product_rejected_by_closed_form():
     pair = SchmidtPair(0.8, 0.6)
     with pytest.raises(ValueError):
         optimal_closed_form(pair)
+
+
+def test_numeric_matches_closed_form():
+    for chi in CHI_GRID[::4]:
+        pair = make_shared_state(chi)
+        sol = optimal_closed_form(pair)
+        assert abs(scan_optimum(*pair)[2] - sol.p_max) < 1e-9
+
+
+@pytest.mark.parametrize("pair", _SCAN_PAIRS)
+def test_numeric_scan_equals_numpy_broadcast_scan(pair):
+    # "numeric" is the numeric_p_max that `qccsim optimal` reports: the Born
+    # value at the closed-form angles.  For alpha*beta <= 0 the numpy scan,
+    # which knows nothing of the maximum, finds it; for alpha*beta > 0 shared
+    # angles reach only 3/4.  Either way the scan never beats the bound.
+    phi1, phi2, best = scan_optimum(*pair)
+    assert abs(best - exact_success_probability(pair, AngleSet(phi1, phi2)).total) < 1e-12
+    assert best <= _correlation_bound(pair) + 1e-12
+    if pair.alpha * pair.beta <= 0.0:
+        sol = optimal_closed_form(pair)
+        numeric = exact_success_probability(pair, AngleSet(sol.phi1, sol.phi2)).total
+        assert abs(best - numeric) < 1e-9
+    else:
+        assert abs(best - 0.75) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta", [(math.nan, -0.5), (0.8, math.nan), (math.inf, -0.5),
+                                        (0.8, -math.inf), (math.inf, math.inf)])
+def test_numeric_refuses_non_finite_amplitudes(alpha, beta):
+    # The pair refuses them when it is built, so neither optimizer ever sees them.
+    with pytest.raises(ValueError, match="^amplitudes not normalized: "):
+        SchmidtPair(alpha, beta)
 
 
 def test_relabeled_angles_reach_p_max_at_positive_product():
@@ -80,10 +143,7 @@ def test_symmetric_optimum_reaches_the_certificate():
     # over every projective strategy.
     for chi in CHI_GRID:
         pair = make_shared_state(chi)
-        ab = pair.alpha * pair.beta
         sol = optimal_closed_form(pair)
-        assert abs(sol.t - 4.0 * ab / math.sqrt(1.0 + 4.0 * ab * ab)) < 1e-12
-        assert abs(closed_form_p(pair, AngleSet(sol.phi1, sol.phi2)) - sol.p_max) < 1e-9
         bound = horodecki_bound(pair.alpha, pair.beta)
         assert abs(sol.p_max - bound) <= 1e-12
         shared = four_angle_win(pair.alpha, pair.beta, sol.phi1, sol.phi2, sol.phi1, sol.phi2)
@@ -100,5 +160,5 @@ def test_closed_form_p_never_exceeds_p_max():
 
 
 def test_endpoints_are_exact():
-    assert optimal_closed_form(make_shared_state(0.0)) == (0.0, 0.0, 0.0, 0.75)  # phi1, phi2, t
+    assert optimal_closed_form(make_shared_state(0.0)).p_max == 0.75
     assert optimal_closed_form(epr_state()).p_max == 0.5 + math.sqrt(2.0) / 4.0

@@ -17,9 +17,11 @@ from qccsim.protocol import (
     run_once,
     target_function,
 )
+from qccsim.concentration import concentration_strategy_value, concentration_success_probability
 from qccsim.optimize import optimal_closed_form
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-from oracles import EPR_ANGLES, brute_force_total, kron_rotate, success_probability_full_input
+from oracles import (COS2_PI8, EPR_ANGLES, brute_force_total, kron_rotate,
+                     success_probability_full_input)
 
 
 def random_canonical_pair(rng):
@@ -27,6 +29,14 @@ def random_canonical_pair(rng):
 
 
 # --- target function and angle choice ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "x,y,expected",
+    [(0b00, 0b00, 0), (0b01, 0b11, 0), (0b10, 0b01, 1)],
+)
+def test_target_function_examples(x, y, expected):
+    assert target_function(InputPair(x, y)) == expected
 
 
 def test_target_function_full_table():
@@ -109,6 +119,33 @@ def test_outcome_table_matches_kron_oracle():
 # --- exact per-input probabilities ------------------------------------------
 
 
+def test_per_input_success_epr_values():
+    report = exact_success_probability(epr_state(), AngleSet(*EPR_ANGLES))
+    assert abs(report.p00 - COS2_PI8) < 1e-9
+    assert abs(report.p11 - COS2_PI8) < 1e-9
+
+
+def test_per_input_success_unrotated_product_state():
+    # state stays |00>, but input 11 needs odd outcome parity
+    assert exact_success_probability(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0)).p11 == 0.0
+
+
+# Raw fields, not built values: a pair or angle set refuses them when it is built,
+# so no evaluation (exact, closed form, run_once, monte_carlo) ever sees them.
+@pytest.mark.parametrize(
+    "pair,angles",
+    [
+        ((1.0, 0.0), (math.nan, 0.0)),
+        ((1.0, 0.0), (0.0, math.inf)),
+        ((1.0, 0.0), (-math.inf, 0.0)),
+        ((math.nan, 0.0), (0.1, 0.2)),
+    ],
+)
+def test_non_finite_inputs_are_rejected(pair, angles):
+    with pytest.raises(ValueError):
+        exact_success_probability(SchmidtPair(*pair), AngleSet(*angles))
+
+
 @pytest.mark.parametrize("field", range(4))  # alpha, beta, phi1, phi2
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("numpy_scalar", [False, True])
@@ -143,11 +180,35 @@ def test_angle_sets_refuse_angles_whose_double_overflows():
     assert all(math.isfinite(p) for p in exact_success_probability(epr_state(), angles))
 
 
+# Finite raw amplitudes whose products overflow.  The pair refuses them when it
+# is built, so none of the evaluations below ever receives them.
+HUGE, LARGE = (1e200, -1e200), (1e80, -1e80)
+
+
+@pytest.mark.parametrize("evaluate,pair", [
+    (lambda pair: closed_form_p(pair, AngleSet(0.1, 0.2)), HUGE),
+    (lambda pair: exact_success_probability(pair, AngleSet(0.1, 0.2)), HUGE),
+    (optimal_closed_form, HUGE),
+    (optimal_closed_form, LARGE),  # only 4 alpha^2 beta^2 overflows
+    (concentration_strategy_value, HUGE),
+    (concentration_success_probability, HUGE),
+], ids=["closed_form_p", "exact", "closed_form_huge", "closed_form_large",
+        "concentration_value", "concentration_coin"])
+def test_overflowing_amplitudes_are_rejected(evaluate, pair):
+    with pytest.raises(ValueError, match="^amplitudes not normalized: "):
+        evaluate(SchmidtPair(*pair))
+
+
+def test_epr_symmetry_across_inputs():
+    report = exact_success_probability(epr_state(), AngleSet(*EPR_ANGLES))
+    for p in (report.p00, report.p01, report.p10, report.p11):
+        assert abs(p - COS2_PI8) < 1e-9
+
+
 def test_symmetry_breaking_at_zero_entanglement():
     report = exact_success_probability(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0))
     assert (report.p00, report.p01, report.p10, report.p11) == (1.0, 1.0, 1.0, 0.0)
     assert report.total == 0.75
-    assert closed_form_p(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0)) == 0.75
 
 
 def test_exact_total_is_mean_of_per_input():
@@ -169,6 +230,14 @@ def test_exact_matches_brute_force_frozen_example():
 
 
 # --- closed form -------------------------------------------------------------
+
+
+def test_closed_form_product_state_zero_angles():
+    assert closed_form_p(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0)) == 0.75
+
+
+def test_closed_form_epr_optimum():
+    assert abs(closed_form_p(epr_state(), AngleSet(*EPR_ANGLES)) - COS2_PI8) < 1e-12
 
 
 def test_closed_form_symmetric_angles_simplification():
@@ -283,6 +352,18 @@ def test_monte_carlo_single_trial():
     assert result.estimate in (0.0, 1.0)
 
 
+def test_monte_carlo_epr_million_trials():
+    result = monte_carlo(epr_state(), AngleSet(*EPR_ANGLES), 10**6, 42)
+    assert abs(result.estimate - COS2_PI8) < 5.0 * result.std_error
+
+
+def test_monte_carlo_counts_partition_trials():
+    result = monte_carlo(epr_state(), AngleSet(*EPR_ANGLES), 10_000, 5)
+    totals = sum(n for _, n in result.per_input_counts.values())
+    assert totals == 10_000
+    assert set(result.per_input_counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
 def _looped_run_once_counts(pair, angles, n, seed):
     # monte_carlo's documented draw order is the (trials, 2) int block, then one
     # uniform per trial, which is what run_once consumes round by round.
@@ -334,6 +415,20 @@ def test_a_uniform_on_an_edge_counts_as_above_it(edges, monkeypatch):
     pair, angles = epr_state(), AngleSet(0.0, 0.0)
     want = _looped_run_once_counts(pair, angles, n, seed)
     assert monte_carlo(pair, angles, n, seed).per_input_counts == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1])
+def test_input_block_advances_one_word_per_row(n):
+    # monte_carlo draws its uniforms from a twin advanced by `trials` words,
+    # which holds because numpy packs two small integers per 64-bit word.
+    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+    rng.integers(0, 4, size=(n, 2))
+    twin.bit_generator.advance(n)
+    drew, advanced = rng.bit_generator.state, twin.bit_generator.state
+    # With no 32-bit half buffered, the stale "uinteger" field is never read.
+    assert drew["has_uint32"] == advanced["has_uint32"] == 0
+    assert drew["state"] == advanced["state"]
+    assert rng.random(4).tolist() == twin.random(4).tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**40 + 3])
