@@ -17,10 +17,10 @@ Subcommands:
 
 Units: --chi/--chi-start/--chi-end are degrees (the canonical range is
 -45..0); --phi1/--phi2 and all angles in output are radians.  Exit codes:
-0 success, 1 stdout or the output file cannot be written or the request
-does not fit in memory (``sweep --steps 1000000000000000`` or more), 2 usage
-or domain error, 3 internal consistency failure, reported after the result is
-written.
+0 success, 1 stdout or the output file cannot be written, the request
+does not fit in memory (``sweep --steps 1000000000000000`` or more) or
+``simulate`` cannot import numpy, 2 usage or domain error, 3 internal
+consistency failure, reported after the result is written.
 """
 
 from __future__ import annotations
@@ -216,6 +216,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # MemoryError() is blank
+        return 1
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy ({exc})", file=sys.stderr)
         return 1
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

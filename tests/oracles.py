@@ -3,9 +3,8 @@
 Deliberately coded apart from the package: rotations are explicit 2x2
 matrices combined with a literal Kronecker product, and success
 probabilities come from enumerating every measurement outcome.
-``four_angle_win`` rotates the 2x2 coefficient matrix of the pair instead,
-R(a) diag(alpha, beta) R(b)^T, so that it broadcasts over the angles of
-strategies where Alice and Bob each pick their own two angles.
+``four_angle_win`` is the one Born-rule value of a strategy, for scalar
+angles; a strategy where both parties share (phi1, phi2) passes them twice.
 
 The module is also the one home of the reference values several test files
 check against, and of ``scan_optimum``, which maximizes the paper's formula
@@ -61,10 +60,10 @@ def scan_optimum(alpha: float, beta: float) -> tuple[float, float, float]:
     return phi1, phi2, best
 
 
-def rotation_matrix(angle) -> np.ndarray:
-    """R(angle) = [[cos, -sin], [sin, cos]], stacked over the shape of ``angle``: (..., 2, 2)."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+def rotation_matrix(angle: float) -> np.ndarray:
+    """R(angle) = [[cos, -sin], [sin, cos]]."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
 
 
 def kron_rotate(amplitudes, angle1: float, angle2: float) -> np.ndarray:
@@ -73,42 +72,18 @@ def kron_rotate(amplitudes, angle1: float, angle2: float) -> np.ndarray:
     return joint @ np.asarray(amplitudes, dtype=float)
 
 
-def four_angle_win(alpha, beta, a0, a1, b0, b1):
+def four_angle_win(alpha: float, beta: float, a0: float, a1: float, b0: float, b1: float) -> float:
     """Win probability when Alice turns by a0 or a1 on x0 = 0 or 1, and Bob by b0 or b1 on y0.
 
-    The pair alpha|00> + beta|11> has coefficient matrix diag(alpha, beta);
-    A x B maps it to A diag(alpha, beta) B^T, whose entry (i, j) is the
-    amplitude of |ij>.  A round at (x0, y0) wins when the outcome parity
-    i XOR j equals x0 AND y0.  The angles broadcast; the result has their shape.
+    Averaged over the 4 low-bit inputs x 4 outcomes: amplitude k of the
+    rotated pair is the outcome (k >> 1, k & 1), and a round at (x0, y0)
+    wins when the outcome parity equals x0 AND y0.
     """
-    coefficients = np.diag([alpha, beta])
     total = 0.0
     for x0, a in enumerate((a0, a1)):
         for y0, b in enumerate((b0, b1)):
-            bob_t = np.swapaxes(rotation_matrix(b), -1, -2)
-            probs = (rotation_matrix(a) @ coefficients @ bob_t) ** 2
-            odd = probs[..., 0, 1] + probs[..., 1, 0]
-            even = probs[..., 0, 0] + probs[..., 1, 1]
-            total = total + (odd if x0 & y0 else even)
-    return total / 4.0
-
-
-def brute_force_total(alpha: float, beta: float, phi1: float, phi2: float) -> float:
-    """Average success over the 4 low-bit inputs x 4 outcomes.
-
-    Success at (x0, y0) means the outcome parity equals x0 AND y0.
-    """
-    total = 0.0
-    for x0 in (0, 1):
-        for y0 in (0, 1):
-            amps = kron_rotate(
-                [alpha, 0.0, 0.0, beta],
-                phi1 if x0 == 0 else phi2,
-                phi1 if y0 == 0 else phi2,
-            )
-            probs = amps**2
-            want = x0 & y0
-            total += sum(p for k, p in enumerate(probs) if ((k >> 1) ^ (k & 1)) == want)
+            probs = kron_rotate([alpha, 0.0, 0.0, beta], a, b) ** 2
+            total += sum(p for k, p in enumerate(probs) if (k >> 1) ^ (k & 1) == x0 & y0)
     return total / 4.0
 
 

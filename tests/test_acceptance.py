@@ -20,7 +20,7 @@ from qccsim.protocol import (
     monte_carlo,
 )
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-from oracles import (CHI_GRID, COS2_PI8, EPR_ANGLES, SLOPE, brute_force_total, procrustean_filter,
+from oracles import (CHI_GRID, COS2_PI8, EPR_ANGLES, SLOPE, four_angle_win, procrustean_filter,
                      vidal_bound)
 
 
@@ -55,7 +55,7 @@ def test_c03_closed_form_agrees_with_brute_force():
         pair = make_shared_state(float(rng.uniform(-math.pi / 4, 0.0)))
         phi1, phi2 = rng.uniform(-math.pi, math.pi, size=2)
         closed = closed_form_p(pair, AngleSet(phi1, phi2))
-        brute = brute_force_total(pair.alpha, pair.beta, phi1, phi2)
+        brute = four_angle_win(pair.alpha, pair.beta, phi1, phi2, phi1, phi2)
         worst = max(worst, abs(closed - brute))
     elapsed = time.perf_counter() - start
     report(3, "closed form matches outcome enumeration on 1000 random cases",

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 import tracemalloc
 
@@ -13,7 +14,7 @@ from golden_cli import (CLI_CALLS, CLI_HASHED_CALLS, GOLDEN, parse_kv, python_en
                         run_python)
 from qccsim import cli
 from qccsim.protocol import AngleSet, closed_form_p
-from oracles import brute_force_total, horodecki_bound
+from oracles import four_angle_win, horodecki_bound
 
 
 # --- exact -------------------------------------------------------------------
@@ -138,7 +139,7 @@ def test_optimal_flags_numeric_regression(monkeypatch, mutant, chi):
     assert parse_kv(text) == {key: "%.12g" % value for key, value in record.items()}
     assert (record["alpha"], record["beta"]) == (pair.alpha, pair.beta)
     assert (record["phi1"], record["phi2"], record["t"], record["p_max"]) == tuple(sol)[:4]
-    born = brute_force_total(pair.alpha, pair.beta, sol.phi1, sol.phi2)
+    born = four_angle_win(pair.alpha, pair.beta, sol.phi1, sol.phi2, sol.phi1, sol.phi2)
     assert abs(record["numeric_p_max"] - born) < 1e-12
     discrepancy = abs(record["p_max"] - record["numeric_p_max"])
     assert record["discrepancy"] == discrepancy
@@ -292,6 +293,16 @@ def test_closed_stdout_exits_1_without_a_traceback():
     proc = run_python("-c", start, unset=["PYTHONUNBUFFERED"])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: stdout is closed\n"
+
+
+def test_simulate_without_numpy_exits_1_with_one_error_line():
+    # every other command runs without numpy; simulate needs it to sample
+    start = ("import sys; sys.modules['numpy'] = None; import qccsim._entry; "
+             "sys.argv = ['qccsim', 'simulate', '--chi', '-30', '--trials', '10']; "
+             "qccsim._entry.run()")
+    proc = run_python("-c", start)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(r"error: simulate needs numpy \(.*numpy.*\)\n", proc.stderr)
 
 
 # --- the cyclic collector --------------------------------------------------------

@@ -308,10 +308,14 @@ def _refuse_constant(name):
 # Sizes that once escaped main as an OverflowError traceback, and one that must fail at once.
 @example(line=(["sweep", "--chi-start=-45", "--chi-end=0", "--steps=" + "1" + "0" * 23], {}))
 @example(line=(["sweep", "--chi-start=-45", "--chi-end=0", "--steps=1000000000000000"], {}))
-# Accepted JSON reports of a sweep and of a sampled simulate, and a refused trial count.
+# Accepted JSON reports of every subcommand, one by amplitudes, and a refused trial count.
+@example(line=(["exact", "--alpha=0.8", "--beta=-0.6", "--format=json"],
+               {"--alpha": "0.8", "--beta": "-0.6", "--format": "json"}))
+@example(line=(["optimal", "--chi=-30", "--format=json"], {"--format": "json"}))
 @example(line=(["sweep", "--chi-start=-45", "--chi-end=0", "--steps=31", "--format=json"],
                {"--format": "json"}))
 @example(line=(["simulate", "--chi=-30", "--trials=100", "--format=json"], {"--format": "json"}))
+@example(line=(["classical", "--mode=sequential", "--format=json"], {"--format": "json"}))
 @example(line=(["simulate", "--chi=-30", "--trials=0"], {}))
 def test_no_command_line_escapes_the_exit_codes(line):
     argv, flags = line

@@ -20,7 +20,7 @@ from qccsim.protocol import (
 from qccsim.concentration import concentration_strategy_value, concentration_success_probability
 from qccsim.optimize import optimal_closed_form
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-from oracles import (COS2_PI8, EPR_ANGLES, brute_force_total, kron_rotate,
+from oracles import (COS2_PI8, EPR_ANGLES, four_angle_win, kron_rotate,
                      success_probability_full_input)
 
 
@@ -226,7 +226,7 @@ def test_exact_matches_brute_force_frozen_example():
     angles = AngleSet(0.1, -0.2)
     report = exact_success_probability(pair, angles)
     assert abs(report.total - 0.76328898328267136) < 1e-12
-    assert abs(report.total - brute_force_total(pair.alpha, pair.beta, 0.1, -0.2)) < 1e-12
+    assert abs(report.total - four_angle_win(pair.alpha, pair.beta, 0.1, -0.2, 0.1, -0.2)) < 1e-12
 
 
 # --- closed form -------------------------------------------------------------
@@ -263,7 +263,7 @@ def test_closed_form_agrees_with_exact_and_brute_force():
         for pair in (canonical, flipped):
             closed = closed_form_p(pair, angles)
             assert abs(closed - exact_success_probability(pair, angles).total) < 1e-12
-            assert abs(closed - brute_force_total(pair.alpha, pair.beta, *angles)) < 1e-12
+            assert abs(closed - four_angle_win(pair.alpha, pair.beta, *angles, *angles)) < 1e-12
 
 
 def test_high_bits_never_affect_success():
