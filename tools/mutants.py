@@ -109,9 +109,13 @@ MUTANTS = [
     M("optimum.phi1_sign", "optimize", "phi1 = -0.5 * math.asin", "phi1 = 0.5 * math.asin"),
     M("optimum.phi2_root", "optimize", "(1.0 + 1.0 / root)", "(1.0 - 1.0 / root)"),
     M("optimum.t", "optimize", "4.0 * ab / root", "2.0 * ab / root"),
+    M("optimum.p_max", "optimize", "0.5 + 0.25 * root", "0.5 + 0.25 * root * root"),
+    M("optimum.phi1_root", "optimize", "root + 1.0", "root"),
+    M("optimum.phi2_half", "optimize", "phi2 = 0.5 * math.asin", "phi2 = 0.25 * math.asin"),
     M("bound.top_two", "optimize", "sorted(diagonal)[1:]", "sorted(diagonal)[:2]"),
     M("bound.zz", "optimize", "alpha * alpha + beta * beta)", "alpha * alpha)"),
     M("bound.scale", "optimize", "s2 * s2) / 4.0", "s2 * s2) / 2.0"),
+    M("bound.half", "optimize", "0.5 + math.sqrt", "0.25 + math.sqrt"),
     # concentration
     M("coin.two", "concentration", "min(1.0, 2.0 * pair.beta", "min(1.0, pair.beta"),
     M("coin.clip", "concentration", "min(1.0, 2.0 * pair.beta * pair.beta)",
