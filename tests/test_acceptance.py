@@ -52,14 +52,18 @@ def test_c03_closed_form_agrees_with_brute_force():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        pair = make_shared_state(float(rng.uniform(-math.pi / 4, 0.0)))
-        phi1, phi2 = rng.uniform(-math.pi, math.pi, size=2)
-        closed = closed_form_p(pair, AngleSet(phi1, phi2))
-        brute = four_angle_win(pair.alpha, pair.beta, phi1, phi2, phi1, phi2)
-        worst = max(worst, abs(closed - brute))
+        canonical = make_shared_state(float(rng.uniform(-math.pi / 4, 0.0)))
+        angles = AngleSet(*rng.uniform(-math.pi, math.pi, size=2))
+        # The formula holds off the canonical domain too: alpha*beta > 0 as well.
+        for pair in (canonical, SchmidtPair(canonical.alpha, -canonical.beta)):
+            closed = closed_form_p(pair, angles)
+            brute = four_angle_win(pair.alpha, pair.beta, *angles, *angles)
+            exact = exact_success_probability(pair, angles).total
+            worst = max(worst, abs(closed - brute), abs(closed - exact))
     elapsed = time.perf_counter() - start
-    report(3, "closed form matches outcome enumeration on 1000 random cases",
-           worst < 1e-12, f"worst={worst:.2e} elapsed={elapsed:.2f}s")
+    report(3, "closed form matches outcome enumeration and the exact layer on 1000 random"
+              " pairs and their alpha*beta > 0 mirrors", worst < 1e-12,
+           f"worst={worst:.2e} elapsed={elapsed:.2f}s")
 
 
 def test_c05_classical_protocols_cap_at_three_quarters():
@@ -81,11 +85,11 @@ def test_c05_classical_protocols_cap_at_three_quarters():
 def test_c06_zero_entanglement_limit():
     pair = make_shared_state(0.0)
     sol = optimal_closed_form(pair)
-    per_input = exact_success_probability(pair, AngleSet(sol.phi1, sol.phi2))
-    ok = sol.p_max == 0.75 and (
-        per_input.p00, per_input.p01, per_input.p10, per_input.p11
-    ) == (1.0, 1.0, 1.0, 0.0)
-    report(6, "unentangled limit: p_max = 3/4 exactly, per-input (1, 1, 1, 0)", ok,
+    ok = sol.p_max == 0.75
+    # at the optimal angles (-0.0, 0.0) and unrotated: |00> stays, input 11 needs odd parity
+    for angles in (AngleSet(sol.phi1, sol.phi2), AngleSet(0.0, 0.0)):
+        ok &= tuple(exact_success_probability(pair, angles)) == (1.0, 1.0, 1.0, 0.0, 0.75)
+    report(6, "unentangled limit: p_max = 3/4 exactly, per-input (1, 1, 1, 0), total 3/4", ok,
            f"p_max={sol.p_max!r}")
 
 

