@@ -7,7 +7,8 @@ probabilities come from enumerating every measurement outcome.
 angles; a strategy where both parties share (phi1, phi2) passes them twice.
 
 The module is also the one home of the reference values several test files
-check against.
+check against, and of ``scan_optimum``, which maximizes the paper's formula
+by search alone.
 """
 
 import math
@@ -28,6 +29,35 @@ CHI_GRID = [float(c) for c in np.linspace(-math.pi / 4, 0.0, 33)]
 def p_max_formula(alpha: float, beta: float) -> float:
     """The paper's optimum p_max = 1/2 + sqrt(1 + 4 alpha^2 beta^2) / 4."""
     return 0.5 + math.sqrt(1.0 + 4.0 * (alpha * beta) ** 2) / 4.0
+
+
+SCAN_STEPS = 64  # each grid of the reference scan is SCAN_STEPS x SCAN_STEPS
+SCAN_ZOOMS = 5  # grids after the first, each spanning +-1 cell of the last argmax
+
+
+def scan_optimum(alpha: float, beta: float) -> tuple[float, float, float]:
+    """``(phi1, phi2, p)`` maximizing the paper's formula by search, knowing nothing of its maximum.
+
+    The paper's p = 1/2 + [cos 2phi1 cos 2phi2 + 2ab sin 2phi1 sin 2phi2
+    + (1 - 2ab)(sin^2 2phi2 - sin^2 2phi1)/2]/4, written out with numpy's
+    cos and sin, over a grid on [-pi/2, pi/2)^2 (its period in each angle);
+    then SCAN_ZOOMS times over a grid of +-1 cell around the last argmax,
+    each 2/(SCAN_STEPS - 1) as wide as the one before.
+    """
+    ab = alpha * beta
+    lo1 = lo2 = -0.5 * math.pi
+    cell = math.pi / SCAN_STEPS
+    axis = np.arange(SCAN_STEPS)
+    for _ in range(SCAN_ZOOMS + 1):
+        grid1, grid2 = lo1 + cell * axis, lo2 + cell * axis
+        c1, s1 = np.cos(2.0 * grid1)[:, None], np.sin(2.0 * grid1)[:, None]
+        c2, s2 = np.cos(2.0 * grid2), np.sin(2.0 * grid2)
+        values = 0.5 + (c1 * c2 + 2 * ab * s1 * s2 + (1 - 2 * ab) * (s2 * s2 - s1 * s1) / 2) / 4
+        i, j = divmod(int(np.argmax(values)), SCAN_STEPS)
+        phi1, phi2, best = float(grid1[i]), float(grid2[j]), float(values[i, j])
+        lo1, lo2 = phi1 - cell, phi2 - cell
+        cell *= 2.0 / (SCAN_STEPS - 1)
+    return phi1, phi2, best
 
 
 def rotation_matrix(angle: float) -> np.ndarray:

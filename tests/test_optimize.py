@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from qccsim.optimize import _correlation_bound, optimal_closed_form
-from qccsim.protocol import AngleSet, closed_form_p
+from qccsim.protocol import AngleSet, closed_form_p, exact_success_probability
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
 from oracles import (CHI_GRID, angle_digits, decimal_sin, four_angle_win, horodecki_bound,
-                     optimal_angle_halves, p_max_formula)
+                     optimal_angle_halves, p_max_formula, scan_optimum)
 
 # States at the edges of the certificate: at chi = 0 the pair is a product
 # state, and the bound is 3/4.  Elsewhere the three |T_ii| of
@@ -23,10 +23,14 @@ _CERTIFICATE_EDGES = {
     "ab=+1/2+ulp": SchmidtPair(math.sqrt(0.5), math.sqrt(0.5)),
     "ab=(1+tol)/2": SchmidtPair(*[math.sqrt((1.0 + 0.999e-12) / 2.0)] * 2),
 }
+_EDGE_PAIRS = [pytest.param(pair, id=name) for name, pair in _CERTIFICATE_EDGES.items()]
 # Both signs of alpha*beta: chi > 0 gives alpha*beta > 0.  Then the edges.
 CERTIFICATE_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c)), id=str(c))
-                     for c in np.linspace(-math.pi / 4, math.pi / 4, 17).tolist()] + [
-    pytest.param(pair, id=name) for name, pair in _CERTIFICATE_EDGES.items()]
+                     for c in np.linspace(-math.pi / 4, math.pi / 4, 17).tolist()] + _EDGE_PAIRS
+# Seeded chi in [-45, 45] degrees, for both signs of alpha*beta.
+_SCAN_CHIS = np.random.default_rng(41).uniform(-math.pi / 4, math.pi / 4, 64).tolist()
+_SCAN_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c)), id=str(c))
+               for c in _SCAN_CHIS] + _EDGE_PAIRS
 
 
 def test_aux_ratio_definition():
@@ -56,6 +60,23 @@ def test_positive_product_rejected_by_closed_form():
     pair = SchmidtPair(0.8, 0.6)
     with pytest.raises(ValueError):
         optimal_closed_form(pair)
+
+
+@pytest.mark.parametrize("pair", _SCAN_PAIRS)
+def test_numeric_scan_equals_numpy_broadcast_scan(pair):
+    # "numeric" is the numeric_p_max that `qccsim optimal` reports: the Born
+    # value at the closed-form angles.  For alpha*beta <= 0 the numpy scan,
+    # which knows nothing of the maximum, finds it; for alpha*beta > 0 shared
+    # angles reach only 3/4.  Either way the scan never beats the bound.
+    phi1, phi2, best = scan_optimum(*pair)
+    assert abs(best - exact_success_probability(pair, AngleSet(phi1, phi2)).total) < 1e-12
+    assert best <= _correlation_bound(pair) + 1e-12
+    if pair.alpha * pair.beta <= 0.0:
+        sol = optimal_closed_form(pair)
+        numeric = exact_success_probability(pair, AngleSet(sol.phi1, sol.phi2)).total
+        assert abs(best - numeric) < 1e-9
+    else:
+        assert abs(best - 0.75) < 1e-12
 
 
 def test_relabeled_angles_reach_p_max_at_positive_product():
