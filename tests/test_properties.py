@@ -5,7 +5,8 @@ database, so renaming or editing a test does not redraw them (``derandomize``
 would seed from the test's source).  Hypothesis also mixes in numeric
 constants it reads from the package's source, so an edited constant in
 ``src/`` may still change them; it caches those under ``.hypothesis/``,
-which is git-ignored.
+which is git-ignored.  A failing example is reported as drawn, not shrunk:
+its seed already fixes it, so it reruns as it is.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, seed, settings
+from hypothesis import Phase, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from golden_cli import parse_kv, run_cli
@@ -29,7 +30,8 @@ from qccsim import __version__, cli
 from qccsim.protocol import AngleSet, InputPair, _outcome_table, exact_success_probability
 from qccsim.state import CHI_DOMAIN_TOL, NORM_TOL, SchmidtPair, epr_state, make_shared_state
 
-PROPERTY = settings(database=None, max_examples=40, deadline=None)
+PROPERTY = settings(database=None, max_examples=40, deadline=None,
+                    phases=(Phase.explicit, Phase.generate))
 
 chi_deg = st.floats(-45.0, 0.0)
 # the whole range make_shared_state accepts, in degrees, and the sliver above 0 on its own
@@ -223,6 +225,9 @@ def test_built_pairs_are_normalized(chi, t):
 @example(alpha=1e150, beta=-1e-150)  # was accepted raw, with p_max 1.059
 @example(alpha=math.nan, beta=0.0)
 @example(alpha=math.sqrt(0.5), beta=-math.inf)
+@example(alpha=np.float64(0.6), beta=np.float64(math.inf))  # a numpy scalar, as drawn
+@example(alpha=1e200, beta=-1e200)  # finite amplitudes whose squares overflow
+@example(alpha=1e80, beta=-1e80)  # a finite norm, but 4 alpha^2 beta^2 overflows
 def test_pairs_off_the_unit_circle_are_refused(alpha, beta):
     assume(not abs(alpha * alpha + beta * beta - 1.0) <= NORM_TOL)
     valid = epr_state()
@@ -237,6 +242,7 @@ def test_pairs_off_the_unit_circle_are_refused(alpha, beta):
 @PROPERTY
 @given(phi=angle, bad=st.sampled_from([math.nan, math.inf, -math.inf]),
        field=st.sampled_from(AngleSet._fields), numpy_scalar=st.booleans())
+@example(phi=0.5, bad=math.nan, field="phi2", numpy_scalar=True)
 def test_angle_sets_refuse_non_finite_angles(phi, bad, field, numpy_scalar):
     if numpy_scalar:
         phi, bad = np.float64(phi), np.float64(bad)

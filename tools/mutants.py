@@ -43,10 +43,10 @@ TIMEOUT_S = 600  # a mutant whose tests run longer counts as killed
 
 MODULE_TESTS = {
     "state": ["test_state.py", "test_properties.py"],
-    "protocol": ["test_protocol.py"],
+    "protocol": ["test_protocol.py", "test_properties.py"],
     "optimize": ["test_optimize.py"],
     "concentration": ["test_concentration.py"],
-    "classical": ["test_classical.py"],
+    "classical": ["test_classical.py", "test_protocol.py"],
     "cli": ["test_cli.py", "test_properties.py"],
     "_entry": ["test_cli.py", "test_properties.py"],
 }
