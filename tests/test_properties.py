@@ -41,12 +41,15 @@ angle = st.floats(-2 * math.pi, 2 * math.pi)
 
 
 def _assert_text_json_parity(argv):
-    """Text and JSON carry the same scalar fields, equal at 12 significant digits."""
+    """Text and JSON carry the same scalar fields, equal at 12 significant digits.
+
+    Returns the JSON document, without the record's ``per_input_counts``."""
     # flags are passed as "--flag=value": a bare "-1e-05" would be read as an option name
     (code, out, _), (json_code, json_out, _) = run_cli(argv), run_cli([*argv, "--format", "json"])
     assert code == json_code == 0
     text = {key: value for key, value in parse_kv(out).items() if not key.startswith("per_input ")}
-    record = json.loads(json_out)["record"]
+    document = json.loads(json_out)
+    record = document["record"]
     record.pop("per_input_counts", None)
     assert text.keys() == record.keys()
     for key, value in record.items():
@@ -56,6 +59,7 @@ def _assert_text_json_parity(argv):
             assert text[key] == format(value, ".12g"), key
         else:
             assert text[key] == str(value), key
+    return document
 
 
 @seed(1)
@@ -82,8 +86,12 @@ def test_optimal_text_json_parity(chi):
 @PROPERTY
 @given(chi=chi_deg, trials=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 def test_simulate_text_json_parity(chi, trials, seed):
-    _assert_text_json_parity(["simulate", f"--chi={chi!r}", f"--trials={trials}",
-                              f"--seed={seed}"])
+    document = _assert_text_json_parity(["simulate", f"--chi={chi!r}", f"--trials={trials}",
+                                         f"--seed={seed}"])
+    assert document["meta"]["seed"] == seed
+    record = document["record"]
+    if record["std_error"] > 0.0:  # json carries each float's repr, so this holds exactly
+        assert record["z_score"] == (record["estimate"] - record["exact"]) / record["std_error"]
 
 
 @seed(4)

@@ -7,19 +7,19 @@ importable by this interpreter):
 
 Each mutant below is one exact text replacement, which must match exactly
 once, in one module of ``src/qccsim``.  For each mutant the harness copies
-``src/``, ``tests/`` and ``pyproject.toml`` to a fresh temporary directory,
-applies the mutation there and runs pytest there (``pyproject.toml``'s
-``pythonpath = ["src"]`` then imports the copy), without ``-x``: the tests of
-the mutated module (``MODULE_TESTS``) plus ``ALWAYS``.  The working tree is
-only read.  An unmutated run of every one of those test files must pass
-first.
+``src/``, ``tests/``, ``demos/`` and ``pyproject.toml`` to a fresh temporary
+directory, applies the mutation there and runs the whole suite there, every
+``tests/test_*.py``, without ``-x`` (``pyproject.toml``'s ``testpaths`` and
+``pythonpath = ["src"]`` then collect it and import the copy).  The working
+tree is only read.  An unmutated run of the same suite must pass first.
 
-The report goes to ``mutants.json`` in the repository root: per mutant, every
-test that fails on it (its killers); per test, the mutants it kills; and the
-tests that ran and killed nothing.  A mutant no test kills must carry a
-written reason why it is equivalent to the package as every input reaches
-it; the run exits 1 if one survives without a reason or one with a reason is
-killed, and 2 if the baseline fails or a mutation does not match.
+The report goes to ``mutants.json`` in the repository root: the full kill
+matrix, that is, per mutant every test that fails on it (its killers); per
+test, the mutants it kills; and the tests that ran and killed nothing.  A
+mutant no test kills must carry a written reason why it is equivalent to the
+package as every input reaches it; the run exits 1 if one survives without a
+reason or one with a reason is killed, and 2 if the baseline fails or a
+mutation does not match.
 """
 
 from __future__ import annotations
@@ -40,17 +40,6 @@ ROOT = Path(__file__).resolve().parent.parent
 REPORT = ROOT / "mutants.json"
 WORKERS = 2  # pytest processes at once
 TIMEOUT_S = 600  # a mutant whose tests run longer counts as killed
-
-MODULE_TESTS = {
-    "state": ["test_state.py", "test_properties.py"],
-    "protocol": ["test_protocol.py", "test_properties.py"],
-    "optimize": ["test_optimize.py"],
-    "concentration": ["test_concentration.py"],
-    "classical": ["test_classical.py", "test_protocol.py"],
-    "cli": ["test_cli.py", "test_properties.py"],
-    "_entry": ["test_cli.py", "test_properties.py"],
-}
-ALWAYS = ["test_golden.py", "test_acceptance.py"]
 
 
 class Mutant(NamedTuple):
@@ -174,7 +163,7 @@ MUTANTS = [
 
 def _copy(dest: Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "demos"):
         shutil.copytree(ROOT / name, dest / name, ignore=skip)
     shutil.copy2(ROOT / "pyproject.toml", dest)
 
@@ -184,8 +173,8 @@ def _child_env() -> dict:
     return {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
 
 
-def _pytest(files: list[str], mutant: Mutant | None = None) -> tuple[list[str], list[str], float]:
-    """``(tests run, tests failed, seconds)`` of pytest on ``files`` in a fresh copy."""
+def _pytest(mutant: Mutant | None = None) -> tuple[list[str], list[str], float]:
+    """``(tests run, tests failed, seconds)`` of every test file in a fresh copy."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="qccsim-mutant-") as tmp:
         dest = Path(tmp)
@@ -195,7 +184,7 @@ def _pytest(files: list[str], mutant: Mutant | None = None) -> tuple[list[str], 
             path.write_text(path.read_text().replace(mutant.old, mutant.new))
         xml = dest / "junit.xml"
         argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no",
-                f"--junitxml={xml}", *(f"tests/{name}" for name in files)]
+                f"--junitxml={xml}"]
         try:
             subprocess.run(argv, cwd=dest, env=_child_env(), stdout=subprocess.DEVNULL,
                            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
@@ -228,15 +217,14 @@ def main() -> int:
     if problems:
         print(*problems, sep="\n")
         return 2
-    every_file = sorted({*ALWAYS, *(name for files in MODULE_TESTS.values() for name in files)})
-    ran, failed, seconds = _pytest(every_file)
+    ran, failed, seconds = _pytest()
     print(f"baseline: {len(ran)} tests, {len(failed)} failed, {seconds:.1f} s")
     if failed or not ran:
         print(*failed, sep="\n")
         return 2
 
     def run(mutant: Mutant) -> dict:
-        ran, killers, seconds = _pytest([*MODULE_TESTS[mutant.module], *ALWAYS], mutant)
+        ran, killers, seconds = _pytest(mutant)
         print(f"{mutant.module}.{mutant.name}: {len(killers)} of {len(ran)} tests fail"
               f" ({seconds:.1f} s)", flush=True)
         return {"name": mutant.name, "module": mutant.module, "old": mutant.old,
