@@ -28,7 +28,7 @@ _EDGE_PAIRS = [pytest.param(pair, id=name) for name, pair in _CERTIFICATE_EDGES.
 CERTIFICATE_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c)), id=str(c))
                      for c in np.linspace(-math.pi / 4, math.pi / 4, 17).tolist()] + _EDGE_PAIRS
 # Seeded chi in [-45, 45] degrees, for both signs of alpha*beta.
-_SCAN_CHIS = np.random.default_rng(41).uniform(-math.pi / 4, math.pi / 4, 29).tolist()
+_SCAN_CHIS = np.random.default_rng(41).uniform(-math.pi / 4, math.pi / 4, 32).tolist()
 _SCAN_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c)), id=str(c))
                for c in _SCAN_CHIS] + _EDGE_PAIRS
 
