@@ -54,6 +54,9 @@ CLI_CALLS = [
     # refused: exit code 2, empty stdout
     ["exact", "--alpha", "0.8", "--beta", "0.6"],
     ["simulate", "--chi", "0", "--trials", "0"],
+    ["exact", "--alpha", "0.5", "--beta", "-0.5"],  # too far from normalized to renormalize
+    ["sweep", "--chi-start", "-45", "--chi-end", "0", "--steps", "1"],
+    ["exact", "--chi", "-30", "--phi1", "abc"],  # by argparse
     # more trials than one monte_carlo chunk
     ["simulate", "--chi", "-30", "--trials", "1000000", "--seed", "7"],
     ["simulate", "--chi", "-30", "--trials", "1000000", "--seed", "7", "--format", "json"],

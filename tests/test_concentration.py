@@ -69,13 +69,6 @@ def test_vidal_bound_is_the_coin():
             assert abs(vidal_bound(source, target) - coin) < 1e-14
 
 
-@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
-def test_non_finite_beta_is_refused(beta):
-    # Even built raw, the pair refuses it, so no concentration function ever sees it.
-    with pytest.raises(ValueError, match="^amplitudes not normalized: "):
-        SchmidtPair(0.8, beta)
-
-
 def _gap(pair: SchmidtPair) -> float:
     return optimal_closed_form(pair).p_max - concentration_strategy_value(pair)
 

@@ -216,12 +216,17 @@ def test_exact_success_probability_has_period_pi_in_each_angle(chi, phi1, phi2):
 @PROPERTY
 @given(chi=st.floats(-math.pi / 4 - CHI_DOMAIN_TOL, CHI_DOMAIN_TOL),
        t=st.floats(allow_nan=False, allow_infinity=False))
+@example(chi=0.0, t=0.0)  # the product state
+@example(chi=-math.pi / 4, t=1.0)  # the EPR pair; beta > alpha > 0, off the canonical domain
+@example(chi=-math.pi / 6, t=-math.pi / 6)
 def test_built_pairs_are_normalized(chi, t):
     for pair in (make_shared_state(chi), SchmidtPair(math.cos(t), math.sin(t)),
                  epr_state()):
         assert abs(pair.alpha * pair.alpha + pair.beta * pair.beta - 1.0) <= NORM_TOL
         assert pickle.loads(pickle.dumps(pair)) == pair  # unpickling builds it again
-    # A pair is its amplitudes: built by angle or by amplitudes, it is one value.
+    # A pair is its two amplitudes and nothing else: built by angle or by amplitudes,
+    # it is one value.
+    assert SchmidtPair(math.cos(t), math.sin(t)) == (math.cos(t), math.sin(t))
     built, raw = make_shared_state(chi), SchmidtPair(math.cos(chi), min(math.sin(chi), 0.0))
     assert built == raw and hash(built) == hash(raw)
 
@@ -236,8 +241,17 @@ def test_built_pairs_are_normalized(chi, t):
 @example(alpha=np.float64(0.6), beta=np.float64(math.inf))  # a numpy scalar, as drawn
 @example(alpha=1e200, beta=-1e200)  # finite amplitudes whose squares overflow
 @example(alpha=1e80, beta=-1e80)  # a finite norm, but 4 alpha^2 beta^2 overflows
+@example(alpha=10**200, beta=0)  # an int whose square is beyond every float
+@example(alpha=0.8, beta=0.7)
+@example(alpha=1.0, beta=math.nan)
+@example(alpha=0.8, beta=math.nan)
+@example(alpha=math.inf, beta=0.0)
+@example(alpha=0.8, beta=math.inf)
+@example(alpha=0.8, beta=-math.inf)
+@example(alpha=math.inf, beta=math.inf)
 def test_pairs_off_the_unit_circle_are_refused(alpha, beta):
-    assume(not abs(alpha * alpha + beta * beta - 1.0) <= NORM_TOL)
+    a, b = float(alpha), float(beta)  # squared as floats, so the int's square is inf
+    assume(not abs(a * a + b * b - 1.0) <= NORM_TOL)
     valid = epr_state()
     for build in (lambda: SchmidtPair(alpha, beta),
                   lambda: SchmidtPair._make([alpha, beta]),

@@ -30,14 +30,6 @@ def random_canonical_pair(rng):
 # --- target function and angle choice ---------------------------------------
 
 
-@pytest.mark.parametrize(
-    "x,y,expected",
-    [(0b00, 0b00, 0), (0b01, 0b11, 0), (0b10, 0b01, 1)],
-)
-def test_target_function_examples(x, y, expected):
-    assert target_function(InputPair(x, y)) == expected
-
-
 def test_target_function_full_table():
     for x in range(4):
         for y in range(4):
