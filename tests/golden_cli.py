@@ -84,6 +84,8 @@ CLI_SUBPROCESS_CALLS = [
     *([command, "--help"] for command in ("exact", "optimal", "sweep", "simulate", "classical")),
     # refused by argparse: exit code 2, usage on stderr
     ["exact", "--chi", "-30", "--phi1", "nan"],
+    # hand-typed amplitudes: the renormalization note on stderr
+    ["exact", "--alpha", "0.92388", "--beta", "-0.38268"],
 ]
 
 

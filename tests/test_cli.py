@@ -42,7 +42,9 @@ def test_renormalized_amplitudes_get_a_note_on_stderr():
                  ["exact", "--alpha", "0.8", "--beta", "-0.6"], *CLI_CALLS, *CLI_HASHED_CALLS]:
         if argv != loose:
             assert RENORMALIZED not in run_cli(argv)[2], argv
+    # the fresh-interpreter record of the same call has the same note, and no other has one
     pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))["cli_subprocess"]
+    assert pinned.pop(" ".join(loose))["stderr"] == err
     assert not any(RENORMALIZED in record["stderr"] for record in pinned.values())
 
 

@@ -38,6 +38,7 @@ def test_two_branch_decomposition_identity():
     for beta_sq in np.linspace(0.0, 0.5, 101):
         pair = pair_for_beta_sq(float(beta_sq))
         p = concentration_success_probability(pair)
+        assert 0.0 <= p <= 1.0
         mixture = p * COS2_PI8 + (1.0 - p) * 0.75
         assert abs(concentration_strategy_value(pair) - mixture) < 1e-12
 

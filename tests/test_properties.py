@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 
 from golden_cli import parse_kv, run_cli
 from qccsim import __version__, cli
-from qccsim.protocol import AngleSet, InputPair, _outcome_table, exact_success_probability
+from qccsim.protocol import (AngleSet, InputPair, _MAX_ANGLE, _outcome_table,
+                             exact_success_probability)
 from qccsim.state import CHI_DOMAIN_TOL, NORM_TOL, SchmidtPair, epr_state, make_shared_state
 
 PROPERTY = settings(database=None, max_examples=40, deadline=None,
@@ -363,8 +364,19 @@ NUMBERS = [-0.0, 0.0, 5e-324, 1e308, -1e308, 8.98846567431158e307, 10**400, -10*
 
 
 def test_value_types_refuse_bad_input_with_value_error():
+    # Each constructor raises ValueError or returns a value inside its domain.
+    domains = [
+        (SchmidtPair, lambda a, b: abs(a * a + b * b - 1.0) <= NORM_TOL),
+        # false for nan and +-inf; math.isfinite(10**400) would raise OverflowError
+        (AngleSet, lambda a, b: abs(a) <= _MAX_ANGLE and abs(b) <= _MAX_ANGLE),
+        (InputPair, lambda a, b: a in range(4) and b in range(4)),
+        (lambda a, _: make_shared_state(a),
+         lambda a, _: -math.pi / 4 - CHI_DOMAIN_TOL <= a <= CHI_DOMAIN_TOL),
+    ]
     for a, b in itertools.product(NUMBERS, repeat=2):
-        for build in (lambda: SchmidtPair(a, b), lambda: AngleSet(a, b), lambda: InputPair(a, b),
-                      lambda: make_shared_state(a)):
-            with contextlib.suppress(ValueError):
-                build()
+        for build, accepts in domains:
+            try:
+                build(a, b)
+            except ValueError:
+                continue
+            assert accepts(a, b), (build, a, b)
