@@ -147,13 +147,19 @@ class OtherRecord(NamedTuple):
                          st.lists(st.builds(OtherRecord, finite, finite), max_size=6)))
 @example(records=[cli.SweepRecord(*SPECIAL[:len(cli.SweepRecord._fields)])])
 @example(records=[OtherRecord(-0.0, 5e-324), OtherRecord(1e22, -2.0)])
+@example(records=[OtherRecord(0.0, 1.0), OtherRecord(math.nan, 2.0)])  # NaN after the first record
 def test_sweep_json_renders_as_json_dumps(records):
     meta = {"tool": "qccsim", "version": __version__, "command": "sweep", "seed": None,
             "flags": {"command": "sweep", "chi_start": -45.0, "chi_end": 0.0,
                       "steps": len(records), "format": "json"}}
-    want = json.dumps({"meta": meta, "records": [r._asdict() for r in records]},
-                      indent=2, allow_nan=False) + "\n"
-    assert _write_sweep(records) == want
+    try:
+        want = json.dumps({"meta": meta, "records": [r._asdict() for r in records]},
+                          indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(ValueError):
+            _write_sweep(records)
+    else:
+        assert _write_sweep(records) == want
 
 
 # CSV, unlike JSON, writes NaN and infinities too.

@@ -15,11 +15,12 @@ tree is only read.  An unmutated run of the same suite must pass first.
 
 The report goes to ``mutants.json`` in the repository root: the full kill
 matrix, that is, per mutant every test that fails on it (its killers); per
-test, the mutants it kills; and the tests that ran and killed nothing.  A
-mutant no test kills must carry a written reason why it is equivalent to the
-package as every input reaches it; the run exits 1 if one survives without a
-reason or one with a reason is killed, and 2 if the baseline fails or a
-mutation does not match.
+test, the mutants it kills; and the tests that ran and killed nothing.  Its
+summary names the mutants that have a single killer.  A mutant no test kills
+must carry a written reason why it is equivalent to the package as every
+input reaches it; the run exits 1 if one survives without a reason or one
+with a reason is killed, and 2 if the baseline fails or a mutation does not
+match.
 """
 
 from __future__ import annotations
@@ -244,6 +245,7 @@ def main() -> int:
     summary = {"mutants": len(results), "killed": sum(r["killed"] for r in results),
                "equivalent": sum(bool(r["equivalent"]) for r in results),
                "survived": survived, "killed_but_marked_equivalent": stale,
+               "single_killer": sorted(r["name"] for r in results if len(r["killers"]) == 1),
                "tests_run": len(ran_any), "tests_killing_nothing": len(ran_any - kills.keys()),
                "baseline_tests": len(ran), "seconds": round(time.perf_counter() - start, 1)}
     REPORT.write_text(json.dumps({
