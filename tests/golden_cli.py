@@ -70,6 +70,9 @@ CLI_CALLS = [
     # chi just below 0, where phi1 is about -2e-9 and -2e-12 rad and 1 - cos 4phi1 is tiny
     ["optimal", "--chi", "-0.0001"],
     ["optimal", "--chi", "-1e-06"],
+    # a seed past 2^64
+    ["simulate", "--chi", "-30", "--trials", "16385", "--seed", "1267650600228229401496703205379",
+     "--format", "json"],
 ]
 
 # pinned by exit code and stdout sha256 only

@@ -97,6 +97,9 @@ def capture() -> dict:
             "ab>0 2^14+1": _counts(SchmidtPair(0.8, 0.6), AngleSet(0.3, -1.1),
                                    2**14 + 1, 16),
             "epr 5*2^14+3": _counts(epr_state(), epr_angles, 5 * 2**14 + 3, 17),
+            # a seed past 2^64, so SeedSequence takes it as several 32-bit words
+            "ab>0 seed=2^100+3": _counts(SchmidtPair(0.8, 0.6), AngleSet(0.3, -1.1),
+                                         2**14 + 1, 2**100 + 3),
         },
     }
 
