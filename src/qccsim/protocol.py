@@ -239,11 +239,10 @@ _CHUNK = 2**14
 
 
 def _input_rows(words: np.ndarray) -> np.ndarray:
-    """Row 2*x0 + y0 of each input pair that ``integers(0, 4, size=(n, 2))`` makes of ``words``.
+    """Row 2*x0 + y0 of the input pair each raw word carries.
 
-    For a range of 4, numpy's Lemire method keeps the top two bits of each
-    32-bit half of a 64-bit word, the low half first: x is bits 30-31 and y
-    bits 62-63, so x0 is bit 30 and y0 bit 62.
+    x is bits 30-31 of a trial's word and y bits 62-63, so x0 is bit 30 and
+    y0 bit 62.
     """
     import numpy as np
 
@@ -259,15 +258,14 @@ def monte_carlo(
     """Estimate the success probability from ``trials`` sampled executions.
 
     Inputs (x, y) are uniform over all 16 pairs each trial.  The draw order
-    is that of a single generator seeded with ``seed`` drawing, in order, one
-    ``integers(0, 4, size=(trials, 2))`` block of inputs and then one block
-    of ``trials`` uniforms for the measurements -- fixed, so results are
-    bit-reproducible.  numpy packs the two inputs of a trial into one 64-bit
-    word, so the input block is read as ``trials`` raw words, x from bits
-    30-31 and y from bits 62-63.  Both blocks are drawn in chunks of at most
-    ``_CHUNK`` trials, which bounds memory: the input words from that
-    generator, the uniforms from a twin seeded alike and advanced past the
-    input block.  Raises ValueError if ``trials`` < 1 or ``seed`` < 0.
+    is fixed, so results are bit-reproducible: it is stated in raw 64-bit
+    words of PCG64 seeded with ``seed`` (numpy's ``PCG64(seed).random_raw``,
+    a stream NEP 19 keeps stable across numpy releases).  Trial i's inputs come
+    from word i, x from bits 30-31 and y from bits 62-63; its uniform is
+    (word ``trials + i`` >> 11) * 2**-53.  Both blocks are drawn in chunks
+    of at most ``_CHUNK`` trials, which bounds memory: the input words from
+    one generator, the uniforms from a twin seeded alike and advanced past
+    the input block.  Raises ValueError if ``trials`` < 1 or ``seed`` < 0.
 
     A chunk is 2**14 trials, so each of its arrays (words, rows, uniforms)
     is at most 128 KiB and a chunk's whole working set, about 1 MiB, stays
@@ -282,16 +280,18 @@ def monte_carlo(
         raise ValueError("seed must be >= 0")
     import numpy as np
 
-    inputs = np.random.default_rng(seed)
-    uniforms = np.random.default_rng(seed)
-    uniforms.bit_generator.advance(trials)
+    inputs = np.random.PCG64(seed)
+    uniforms = np.random.PCG64(seed)
+    uniforms.advance(trials)
     # Odd parity (outcome 1 or 2) is first edge <= u < last edge: a row's edges never decrease.
     first, _, last = np.array(_outcome_edges(pair, angles)).T
     tally = np.zeros(8, dtype=np.int64)  # trials per (row, parity), index 2*row + odd
     for start in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - start)
-        row = _input_rows(inputs.bit_generator.random_raw(n))
-        us = uniforms.random(n)
+        row = _input_rows(inputs.random_raw(n))
+        us = uniforms.random_raw(n)  # each word becomes its uniform (word >> 11) * 2**-53
+        us >>= np.uint64(11)
+        us = us * 2.0**-53
         odd = (us >= first[row]) & (us < last[row])
         tally += np.bincount(2 * row + odd, minlength=8)
         # Freed before the next chunk allocates: kept alive one chunk longer, the uniforms

@@ -7,9 +7,11 @@ probabilities come from enumerating every measurement outcome.
 angles; a strategy where both parties share (phi1, phi2) passes them twice.
 
 The module is also the one home of the reference values several test files
-check against.
+check against.  ``pcg64_words`` is numpy's PCG64 stream in plain Python, and
+``oracle_tallies`` reads ``monte_carlo``'s draw order off it.
 """
 
+import itertools
 import math
 from decimal import Decimal
 
@@ -121,6 +123,107 @@ def brute_force_best_simultaneous() -> tuple[int, int, int, int, int]:
                 oa, ob = divmod(int(counts.argmax()), 256)
                 best = (top, ma, mb, oa, ob)
     return best
+
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_pool(seed: int) -> list[int]:
+    """The four 32-bit pool words of numpy's ``SeedSequence(seed)``, no spawn key.
+
+    The seed enters as its 32-bit words, least significant first; each is
+    hashed into the pool, then every pool word is mixed into every other,
+    then any words beyond the fourth are mixed in.
+    """
+    words = []
+    while True:
+        words.append(seed & _M32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def pcg64_words(seed: int):
+    """numpy's ``PCG64(seed).random_raw()`` words, one at a time, in plain Python.
+
+    PCG64 is the 128-bit LCG with the XSL-RR output function (O'Neill, "PCG:
+    A family of simple fast space-efficient statistically good algorithms
+    for random number generation", HMC-CS-2014-0905): each step multiplies
+    the state by a fixed constant and adds the odd increment, and the output
+    is the state's two 64-bit halves XOR-ed, rotated right by its top 6 bits.
+    The 128-bit start state and stream come from four 64-bit words of
+    ``SeedSequence(seed).generate_state``, high word first.
+    """
+    pool = _seed_sequence_pool(seed)
+    hash_const = 0x8B51F9DD
+    halves = []
+    for value in itertools.islice(itertools.cycle(pool), 8):
+        value ^= hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        halves.append(value ^ value >> 16)
+    w0, w1, w2, w3 = (halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+    state = ((inc + (w0 << 64 | w1)) * _PCG_MULTIPLIER + inc) & _M128
+    while True:
+        state = (state * _PCG_MULTIPLIER + inc) & _M128
+        rot = state >> 122
+        value = (state >> 64 ^ state) & _M64
+        yield (value >> rot | value << (64 - rot)) & _M64
+
+
+def oracle_tallies(alpha: float, beta: float, phi1: float, phi2: float, trials: int,
+                   seed: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """``monte_carlo``'s ``per_input_counts``, read straight off its documented draw order.
+
+    Trial i's inputs are PCG64 word i, x from bits 30-31 and y from bits
+    62-63; its uniform is (word ``trials + i`` >> 11) * 2**-53.  The outcome
+    k is the number of the Born probabilities' first three running sums at
+    or below the uniform, giving a = k >> 1 and b = k & 1; the round wins
+    when (a XOR x1) XOR (b XOR y1) equals ``protocol_target(x, y)``.
+    """
+    edges = {}
+    for x0, a in enumerate((phi1, phi2)):
+        for y0, b in enumerate((phi1, phi2)):
+            probs = (kron_rotate([alpha, 0.0, 0.0, beta], a, b) ** 2).tolist()
+            edges[x0, y0] = list(itertools.accumulate(probs[:3]))
+    words = pcg64_words(seed)
+    inputs = list(itertools.islice(words, trials))
+    tallies = {key: [0, 0] for key in edges}
+    for word, uniform_word in zip(inputs, words):
+        x, y = (word >> 30) & 3, (word >> 62) & 3
+        u = (uniform_word >> 11) * 2.0**-53
+        k = sum(edge <= u for edge in edges[x & 1, y & 1])
+        out = ((k >> 1) ^ (x >> 1)) ^ ((k & 1) ^ (y >> 1))
+        tally = tallies[x & 1, y & 1]
+        tally[0] += out == protocol_target(x, y)
+        tally[1] += 1
+    return {key: tuple(tally) for key, tally in tallies.items()}
 
 
 _PAULIS = (

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -19,8 +20,8 @@ from qccsim.protocol import (
 )
 from qccsim.optimize import optimal_closed_form
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-from oracles import (COS2_PI8, EPR_ANGLES, four_angle_win, kron_rotate,
-                     success_probability_full_input)
+from oracles import (COS2_PI8, EPR_ANGLES, four_angle_win, kron_rotate, oracle_tallies,
+                     pcg64_words, success_probability_full_input)
 
 
 def random_canonical_pair(rng):
@@ -267,9 +268,32 @@ def test_monte_carlo_counts_partition_trials():
     assert set(result.per_input_counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**64, 2**100 + 3])
+def test_pcg64_words_equal_numpy_raw_stream(seed):
+    words = list(itertools.islice(pcg64_words(seed), 1000))
+    assert words == np.random.PCG64(seed).random_raw(1000).tolist()
+
+
+@pytest.mark.parametrize(
+    "pair,angles,trials,seed",
+    [
+        (epr_state(), AngleSet(*EPR_ANGLES), 1, 0),
+        (make_shared_state(-0.5), AngleSet(0.2, -0.4), 2**14 - 1, 15),
+        (SchmidtPair(0.8, 0.6), AngleSet(0.3, -1.1), 2**14 + 1, 2**100 + 3),  # alpha*beta > 0
+        (make_shared_state(-0.5), AngleSet(0.0, 0.0), 3 * 2**14 + 5, 2**64),
+    ],
+    ids=["one_trial", "chunk_less_one", "ab_positive_large_seed", "zero_angles_large_seed"],
+)
+def test_monte_carlo_tallies_equal_oracle(pair, angles, trials, seed):
+    want = oracle_tallies(pair.alpha, pair.beta, *angles, trials, seed)
+    assert monte_carlo(pair, angles, trials, seed).per_input_counts == want
+
+
 def _looped_run_once_counts(pair, angles, n, seed):
-    # monte_carlo's documented draw order is the (trials, 2) int block, then one
-    # uniform per trial, which is what run_once consumes round by round.
+    # Looping run_once over one Generator's integers(0, 4, size=(n, 2)) block, then
+    # one random() per round, draws what monte_carlo's raw-word order reads: a
+    # property of Generator.integers and Generator.random that the tests using
+    # this check, not the definition of the draw order.
     rng = np.random.default_rng(seed)
     counts = {(x0, y0): [0, 0] for x0 in (0, 1) for y0 in (0, 1)}
     for x, y in rng.integers(0, 4, size=(n, 2)).tolist():
@@ -311,9 +335,9 @@ def test_monte_carlo_tallies_equal_looped_run_once_where_edges_coincide(pair):
                          ids=["first", "last"])
 def test_a_uniform_on_an_edge_counts_as_above_it(edges, monkeypatch):
     n, seed = 5, 3
-    twin = np.random.default_rng(seed)
-    twin.bit_generator.advance(n)
-    table = (edges(twin.random()),) * 4
+    # The first trial's uniform is (raw word n >> 11) * 2**-53.
+    word = int(np.random.PCG64(seed).random_raw(n + 1)[n])
+    table = (edges((word >> 11) * 2.0**-53),) * 4
     monkeypatch.setattr(protocol, "_outcome_edges", lambda *_: table)
     pair, angles = epr_state(), AngleSet(0.0, 0.0)
     want = _looped_run_once_counts(pair, angles, n, seed)
@@ -322,8 +346,8 @@ def test_a_uniform_on_an_edge_counts_as_above_it(edges, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1])
 def test_input_block_advances_one_word_per_row(n):
-    # monte_carlo draws its uniforms from a twin advanced by `trials` words,
-    # which holds because numpy packs two small integers per 64-bit word.
+    # integers(0, 4, size=(n, 2)) consumes exactly n raw words, as monte_carlo's
+    # input block does: numpy packs two small integers per 64-bit word.
     rng, twin = np.random.default_rng(n), np.random.default_rng(n)
     rng.integers(0, 4, size=(n, 2))
     twin.bit_generator.advance(n)
@@ -337,7 +361,7 @@ def test_input_block_advances_one_word_per_row(n):
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**40 + 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1])
 def test_input_rows_read_integers_from_raw_words(n, seed):
-    # monte_carlo reads its input block as raw words; integers() must see the same rows.
+    # The rows monte_carlo reads from raw words are the ones integers() draws.
     rng, raw = np.random.default_rng(seed), np.random.default_rng(seed)
     xy = rng.integers(0, 4, size=(n, 2))
     rows = _input_rows(raw.bit_generator.random_raw(n))

@@ -73,6 +73,10 @@ MUTANTS = [
     M("monte_carlo.parity_edges", "protocol", "(us >= first[row]) & (us < last[row])",
       "(us > first[row]) & (us <= last[row])"),
     M("monte_carlo.twin_advance", "protocol", "advance(trials)", "advance(trials + 1)"),
+    M("monte_carlo.blocks_swapped", "protocol", "uniforms.advance(trials)",
+      "inputs.advance(trials)"),
+    M("monte_carlo.uniform_bits", "protocol", "us >>= np.uint64(11)",
+      "us >>= np.uint64(12)"),
     M("monte_carlo.std_error", "protocol", "(1.0 - estimate) / trials",
       "(1.0 - estimate) / (trials - 1)"),
     M("monte_carlo.counts_key", "protocol", "(row >> 1, row & 1)", "(row & 1, row >> 1)"),
