@@ -13,6 +13,7 @@ check against.  ``pcg64_words`` is numpy's PCG64 stream in plain Python, and
 
 import itertools
 import math
+from collections.abc import Iterator
 from decimal import Decimal
 
 import numpy as np
@@ -168,7 +169,7 @@ def _seed_sequence_pool(seed: int) -> list[int]:
     return pool
 
 
-def pcg64_words(seed: int):
+def pcg64_words(seed: int) -> Iterator[int]:
     """numpy's ``PCG64(seed).random_raw()`` words, one at a time, in plain Python.
 
     PCG64 is the 128-bit LCG with the XSL-RR output function (O'Neill, "PCG:
