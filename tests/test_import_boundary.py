@@ -5,8 +5,7 @@ included -- must not load numpy; ``simulate`` must.  Text and CSV output
 load neither ``json`` nor ``fractions``.  ``import qccsim.cli``
 loads every layer module (the benchmark's tracer reads them from
 ``sys.modules`` after that one import).  In the source, numpy is imported
-only inside ``protocol.monte_carlo`` and its helper ``protocol._input_rows``,
-or for type checking.
+only inside ``protocol.monte_carlo``, or for type checking.
 """
 
 import ast
@@ -32,7 +31,7 @@ PUBLIC = {
 
 
 # (module, top-level function) where the package may import numpy
-NUMPY_HOMES = {("protocol", "monte_carlo"), ("protocol", "_input_rows")}
+NUMPY_HOMES = {("protocol", "monte_carlo")}
 
 
 def _imported(stderr):

@@ -9,7 +9,6 @@ from qccsim import protocol
 from qccsim.protocol import (
     AngleSet,
     InputPair,
-    _input_rows,
     _outcome_edges,
     _outcome_table,
     closed_form_p,
@@ -291,9 +290,11 @@ def test_monte_carlo_tallies_equal_oracle(pair, angles, trials, seed):
 
 def _looped_run_once_counts(pair, angles, n, seed):
     # Looping run_once over one Generator's integers(0, 4, size=(n, 2)) block, then
-    # one random() per round, draws what monte_carlo's raw-word order reads: a
-    # property of Generator.integers and Generator.random that the tests using
-    # this check, not the definition of the draw order.
+    # one random() per round, draws what monte_carlo's raw-word order reads.  That
+    # is a property of Generator.integers and Generator.random, not the definition
+    # of the draw order (oracle_tallies pins that), and the tests using this are the
+    # suite's one check of it.  They stay because the on-edge test is the only
+    # killer of the monte_carlo.parity_edges and run_once.bisect_left mutants.
     rng = np.random.default_rng(seed)
     counts = {(x0, y0): [0, 0] for x0 in (0, 1) for y0 in (0, 1)}
     for x, y in rng.integers(0, 4, size=(n, 2)).tolist():
@@ -342,36 +343,6 @@ def test_a_uniform_on_an_edge_counts_as_above_it(edges, monkeypatch):
     pair, angles = epr_state(), AngleSet(0.0, 0.0)
     want = _looped_run_once_counts(pair, angles, n, seed)
     assert monte_carlo(pair, angles, n, seed).per_input_counts == want
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1])
-def test_input_block_advances_one_word_per_row(n):
-    # integers(0, 4, size=(n, 2)) consumes exactly n raw words, as monte_carlo's
-    # input block does: numpy packs two small integers per 64-bit word.
-    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
-    rng.integers(0, 4, size=(n, 2))
-    twin.bit_generator.advance(n)
-    drew, advanced = rng.bit_generator.state, twin.bit_generator.state
-    # With no 32-bit half buffered, the stale "uinteger" field is never read.
-    assert drew["has_uint32"] == advanced["has_uint32"] == 0
-    assert drew["state"] == advanced["state"]
-    assert rng.random(4).tolist() == twin.random(4).tolist()
-
-
-@pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**40 + 3])
-@pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1])
-def test_input_rows_read_integers_from_raw_words(n, seed):
-    # The rows monte_carlo reads from raw words are the ones integers() draws.
-    rng, raw = np.random.default_rng(seed), np.random.default_rng(seed)
-    xy = rng.integers(0, 4, size=(n, 2))
-    rows = _input_rows(raw.bit_generator.random_raw(n))
-    assert rows.dtype == np.intp
-    assert np.array_equal(rows, 2 * (xy[:, 0] & 1) + (xy[:, 1] & 1))
-    drew, read = rng.bit_generator.state, raw.bit_generator.state
-    # integers() leaves a stale, unread "uinteger" behind; everything else must agree.
-    assert drew["has_uint32"] == read["has_uint32"] == 0
-    assert drew["state"] == read["state"]
-    assert rng.random(4).tolist() == raw.random(4).tolist()
 
 
 @pytest.mark.parametrize(
