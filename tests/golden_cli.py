@@ -1,30 +1,36 @@
 """The CLI calls pinned in ``tests/data/cli_golden.json`` and their comparison.
 
 Standard library only.  ``tests/test_golden.py`` captures and compares every
-call with these functions; run as a script, this module checks every call
-that runs without numpy -- all but the ``simulate`` calls that sample -- and
-so also runs on an interpreter without numpy installed.  From the repository
-root:
+call with these functions.  Run as a script, this module runs every call that
+runs without numpy -- all but the ``simulate`` calls that sample -- and
+recomputes the ``per_input`` tallies of each pinned call that samples with
+``oracle_tallies`` from ``tests/oracles.py``, so it also runs on an
+interpreter without numpy installed.  From the repository root:
 
     PYTHONPATH=src python tests/golden_cli.py
 
-It prints each call whose exit code or output differs from the golden file
-and exits 1 if there is one.  The tests run the CLI through this module's
-two runners, ``run_cli`` in process and ``run_python`` in a fresh
+It prints each call whose exit code, output or tallies differ from the
+golden file and exits 1 if there is one.  The tests run the CLI through this
+module's two runners, ``run_cli`` in process and ``run_python`` in a fresh
 interpreter (whose environment is ``python_env``), and read text reports with
 ``parse_kv``.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from oracles import oracle_tallies
 from qccsim import cli
+from qccsim.optimize import optimal_closed_form
+from qccsim.state import make_shared_state
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
@@ -170,18 +176,53 @@ def mismatches(want: dict, got: dict) -> list:
             for call, record in records.items() if want[section].get(call) != record]
 
 
+def golden_per_input(record: dict) -> dict:
+    """A pinned ``simulate`` call's tallies, ``{"00": [successes, trials], ...}``,
+    read from its JSON record or from its text report's ``per_input`` lines."""
+    if record["stdout"].startswith("{"):
+        return json.loads(record["stdout"])["record"]["per_input_counts"]
+    return {key.removeprefix("per_input "): [int(n) for n in value.split("/")]
+            for key, value in parse_kv(record["stdout"]).items() if key.startswith("per_input ")}
+
+
+@functools.cache  # a text call and its JSON twin sample alike
+def oracle_per_input(chi: str, trials: str, seed: str) -> dict:
+    """``golden_per_input``'s tallies of ``simulate`` with these flag values, without numpy:
+    the pair and the optimal angles from the package's exact layer, the draws
+    and the outcomes from ``oracle_tallies``."""
+    pair = make_shared_state(math.radians(float(chi)))
+    sol = optimal_closed_form(pair)
+    tallies = oracle_tallies(pair.alpha, pair.beta, sol.phi1, sol.phi2, int(trials), int(seed))
+    return {f"{x0}{y0}": list(counts) for (x0, y0), counts in tallies.items()}
+
+
 def main() -> int:
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = capture_cli(sampled=False)
     bad = mismatches(want, got)
-    # every golden call is either checked here or left out as one that samples
-    bad += [f"{section}: {call} (not run)" for section in got for call in want[section]
-            if call not in got[section] and not samples(call.split())]
-    if "numpy" in sys.modules:
+    # every golden call is either run here or, if it samples, has its tallies recomputed
+    recomputed = 0
+    for section in got:
+        for call in want[section]:
+            argv = call.split()
+            if not samples(argv):
+                if call not in got[section]:
+                    bad.append(f"{section}: {call} (not run)")
+            elif section != "cli":
+                bad.append(f"{section}: {call} (samples, not recomputed)")
+            else:
+                recomputed += 1
+                flags = dict(zip(argv[1::2], argv[2::2]))
+                oracle = oracle_per_input(flags["--chi"], flags["--trials"],
+                                          flags.get("--seed", "0"))
+                if golden_per_input(want[section][call]) != oracle:
+                    bad.append(f"{section}: {call} (tallies differ from oracle_tallies)")
+    if sys.modules.get("numpy") is not None:
         bad.append("numpy was imported")
     for line in bad:
         print(line)
-    print(f"{sum(map(len, got.values()))} calls checked, {len(bad)} mismatches")
+    print(f"{sum(map(len, got.values()))} calls checked, {recomputed} golden simulate tallies"
+          f" recomputed, {len(bad)} mismatches")
     return 1 if bad else 0
 
 

@@ -1,22 +1,23 @@
-"""Independent reference computations used as test oracles.
+"""Independent reference computations used as test oracles, in plain Python.
 
 Deliberately coded apart from the package: rotations are explicit 2x2
 matrices combined with a literal Kronecker product, and success
-probabilities come from enumerating every measurement outcome.
-``four_angle_win`` is the one Born-rule value of a strategy, for scalar
-angles; a strategy where both parties share (phi1, phi2) passes them twice.
+probabilities come from enumerating every measurement outcome of the one
+Born rule, ``outcome_probabilities``.  ``four_angle_win`` is the value of a
+strategy; a strategy where both parties share (phi1, phi2) passes them twice.
 
 The module is also the one home of the reference values several test files
 check against.  ``pcg64_words`` is numpy's PCG64 stream in plain Python, and
-``oracle_tallies`` reads ``monte_carlo``'s draw order off it.
+``oracle_tallies`` reads ``monte_carlo``'s draw order off it, which lets
+``tests/golden_cli.py`` recheck the golden tallies without numpy.  numpy is
+imported only inside the classical brute-force helpers.
 """
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
 from decimal import Decimal
-
-import numpy as np
 
 # The paper's value at the maximal pair with angles EPR_ANGLES = (-pi/16, 3pi/16).
 COS2_PI8 = math.cos(math.pi / 8) ** 2
@@ -24,8 +25,9 @@ EPR_ANGLES = (-math.pi / 16, 3 * math.pi / 16)
 # Concentrate-then-play wins 3/4 + SLOPE * beta^2: with probability 2 beta^2 it
 # holds the maximal pair and wins COS2_PI8, else 3/4.
 SLOPE = 2.0 * COS2_PI8 - 1.5
-# 33 canonical states, chi from -pi/4 (the maximal pair) to 0 (a product state).
-CHI_GRID = [float(c) for c in np.linspace(-math.pi / 4, 0.0, 33)]
+# 33 canonical states, chi from -pi/4 (the maximal pair) to 0 (a product state), by
+# numpy.linspace's recipe: point i is i * step + start, and the last point is the stop.
+CHI_GRID = [i * (math.pi / 4 / 32) - math.pi / 4 for i in range(32)] + [0.0]
 
 
 def p_max_formula(alpha: float, beta: float) -> float:
@@ -33,16 +35,26 @@ def p_max_formula(alpha: float, beta: float) -> float:
     return 0.5 + math.sqrt(1.0 + 4.0 * (alpha * beta) ** 2) / 4.0
 
 
-def rotation_matrix(angle: float) -> np.ndarray:
-    """R(angle) = [[cos, -sin], [sin, cos]]."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+def _kron(a, b) -> list:
+    """The Kronecker product a x b of two 2x2 matrices, as a 4x4 nested list."""
+    return [[a[i][k] * b[j][l] for k in range(2) for l in range(2)]
+            for i in range(2) for j in range(2)]
 
 
-def kron_rotate(amplitudes, angle1: float, angle2: float) -> np.ndarray:
-    """(R(angle1) x R(angle2)) acting on a length-4 amplitude vector."""
-    joint = np.kron(rotation_matrix(angle1), rotation_matrix(angle2))
-    return joint @ np.asarray(amplitudes, dtype=float)
+def _apply(matrix, vector) -> list:
+    return [sum(m * v for m, v in zip(row, vector)) for row in matrix]
+
+
+def kron_rotate(amplitudes, angle1: float, angle2: float) -> list[float]:
+    """(R(angle1) x R(angle2)) on a length-4 amplitude vector; R(t) = [[cos, -sin], [sin, cos]]."""
+    c1, s1, c2, s2 = math.cos(angle1), math.sin(angle1), math.cos(angle2), math.sin(angle2)
+    return _apply(_kron([[c1, -s1], [s1, c1]], [[c2, -s2], [s2, c2]]), amplitudes)
+
+
+def outcome_probabilities(alpha: float, beta: float, t1: float, t2: float) -> list[float]:
+    """Born probabilities of outcome k = (a, b) = (k >> 1, k & 1), for k = 0..3,
+    when Alice turns alpha|00> + beta|11> by t1 and Bob by t2."""
+    return [amp * amp for amp in kron_rotate([alpha, 0.0, 0.0, beta], t1, t2)]
 
 
 def four_angle_win(alpha: float, beta: float, a0: float, a1: float, b0: float, b1: float) -> float:
@@ -55,7 +67,7 @@ def four_angle_win(alpha: float, beta: float, a0: float, a1: float, b0: float, b
     total = 0.0
     for x0, a in enumerate((a0, a1)):
         for y0, b in enumerate((b0, b1)):
-            probs = kron_rotate([alpha, 0.0, 0.0, beta], a, b) ** 2
+            probs = outcome_probabilities(alpha, beta, a, b)
             total += sum(p for k, p in enumerate(probs) if (k >> 1) ^ (k & 1) == x0 & y0)
     return total / 4.0
 
@@ -67,30 +79,24 @@ def success_probability_full_input(
     with outputs formed by XOR-ing the exchanged bits."""
     x1, x0 = (x >> 1) & 1, x & 1
     y1, y0 = (y >> 1) & 1, y & 1
-    amps = kron_rotate(
-        [alpha, 0.0, 0.0, beta],
-        phi1 if x0 == 0 else phi2,
-        phi1 if y0 == 0 else phi2,
-    )
-    probs = amps**2
+    probs = outcome_probabilities(alpha, beta, phi1 if x0 == 0 else phi2,
+                                  phi1 if y0 == 0 else phi2)
     f_value = x1 ^ y1 ^ (x0 & y0)
-    total = 0.0
-    for k, p in enumerate(probs):
-        a, b = k >> 1, k & 1
-        out = (a ^ x1) ^ (b ^ y1)
-        if out == f_value:
-            total += p
-    return float(total)
+    return sum(p for k, p in enumerate(probs) if ((k >> 1) ^ x1) ^ ((k & 1) ^ y1) == f_value)
 
 
-_POPCOUNT_16 = np.array([bin(m).count("1") for m in range(1 << 16)])
+@functools.cache
+def _popcount_16():
+    """Set bits of every 16-bit mask, as a numpy lookup table built once."""
+    import numpy as np
+    return np.array([bin(m).count("1") for m in range(1 << 16)])
 
 
 def protocol_target(x: int, y: int) -> int:
     return (x >> 1) ^ (y >> 1) ^ (x & y & 1)
 
 
-def brute_force_protocol_counts(sequential: bool, ma: int, mb: int) -> np.ndarray:
+def brute_force_protocol_counts(sequential: bool, ma: int, mb: int) -> "numpy.ndarray":
     """``counts[oa, ob]``: success count of all 256 x 256 output-table pairs
     for fixed message tables, every protocol evaluated on all 16 inputs.
 
@@ -99,6 +105,7 @@ def brute_force_protocol_counts(sequential: bool, ma: int, mb: int) -> np.ndarra
     an output table is that party's output.  Each table's correct inputs
     form a 16-bit mask; a pair's count is the popcount of the AND of masks.
     """
+    import numpy as np
     tables = np.arange(256)
     alice_mask = np.zeros(256, dtype=np.int64)
     bob_mask = np.zeros(256, dtype=np.int64)
@@ -109,7 +116,7 @@ def brute_force_protocol_counts(sequential: bool, ma: int, mb: int) -> np.ndarra
             want = protocol_target(x, y)
             alice_mask |= (((tables >> (2 * x + b)) & 1) == want).astype(np.int64) << (4 * x + y)
             bob_mask |= (((tables >> (2 * y + a)) & 1) == want).astype(np.int64) << (4 * x + y)
-    return _POPCOUNT_16[np.bitwise_and.outer(alice_mask, bob_mask)]
+    return _popcount_16()[np.bitwise_and.outer(alice_mask, bob_mask)]
 
 
 def brute_force_best_simultaneous() -> tuple[int, int, int, int, int]:
@@ -139,12 +146,7 @@ def _seed_sequence_pool(seed: int) -> list[int]:
     hashed into the pool, then every pool word is mixed into every other,
     then any words beyond the fourth are mixed in.
     """
-    words = []
-    while True:
-        words.append(seed & _M32)
-        seed >>= 32
-        if not seed:
-            break
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     hash_const = 0x43B0D7E5
 
     def hashmix(value):
@@ -208,11 +210,8 @@ def oracle_tallies(alpha: float, beta: float, phi1: float, phi2: float, trials: 
     or below the uniform, giving a = k >> 1 and b = k & 1; the round wins
     when (a XOR x1) XOR (b XOR y1) equals ``protocol_target(x, y)``.
     """
-    edges = {}
-    for x0, a in enumerate((phi1, phi2)):
-        for y0, b in enumerate((phi1, phi2)):
-            probs = (kron_rotate([alpha, 0.0, 0.0, beta], a, b) ** 2).tolist()
-            edges[x0, y0] = list(itertools.accumulate(probs[:3]))
+    edges = {(x0, y0): list(itertools.accumulate(outcome_probabilities(alpha, beta, a, b)[:3]))
+             for x0, a in enumerate((phi1, phi2)) for y0, b in enumerate((phi1, phi2))}
     words = pcg64_words(seed)
     inputs = list(itertools.islice(words, trials))
     tallies = {key: [0, 0] for key in edges}
@@ -227,13 +226,6 @@ def oracle_tallies(alpha: float, beta: float, phi1: float, phi2: float, trials: 
     return {key: tuple(tally) for key, tally in tallies.items()}
 
 
-_PAULIS = (
-    np.array([[0.0, 1.0], [1.0, 0.0]]),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    np.array([[1.0, 0.0], [0.0, -1.0]]),
-)
-
-
 def horodecki_bound(alpha: float, beta: float) -> float:
     """Largest win probability of any projective strategy on alpha|00> + beta|11>.
 
@@ -242,38 +234,44 @@ def horodecki_bound(alpha: float, beta: float) -> float:
     criterion (Phys. Lett. A 200, 340 (1995)) the largest B over all
     projective measurements is 2 sqrt(s1^2 + s2^2), where s1 >= s2 are the
     top singular values of the correlation matrix T_ij = <sigma_i x sigma_j>.
+    On this state every off-diagonal T_ij is a sum of two terms that cancel
+    exactly, so T is diagonal and its singular values are the |T_ii|.
     """
-    psi = np.array([alpha, 0.0, 0.0, beta], dtype=complex)
-    corr = np.array([[(psi.conj() @ np.kron(si, sj) @ psi).real for sj in _PAULIS]
-                     for si in _PAULIS])
-    s1, s2, _ = np.linalg.svd(corr, compute_uv=False)
+    paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+    psi = [complex(alpha), 0j, 0j, complex(beta)]
+    corr = [[sum(c.conjugate() * v for c, v in zip(psi, _apply(_kron(si, sj), psi))).real
+             for sj in paulis] for si in paulis]
+    assert all(corr[i][j] == 0.0 for i in range(3) for j in range(3) if i != j), corr
+    s2, s1 = sorted(abs(corr[i][i]) for i in range(3))[1:]
     return 0.5 + math.sqrt(s1 * s1 + s2 * s2) / 4.0
 
 
-def procrustean_filter(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def procrustean_filter(alpha: float, beta: float) -> tuple[list, list]:
     """Alice's two-outcome filter (M0, M1) on alpha|00> + beta|11>, |beta| <= alpha.
 
     The Procrustean method of Bennett, Bernstein, Popescu & Schumacher
     (PRA 53, 2046 (1996)): M0 = diag(|beta|/alpha, 1) x I cuts the larger
     Schmidt amplitude down to the smaller one, so M0 psi is maximally
     entangled, reached with probability ||M0 psi||^2; M1 = sqrt(I - M0^T M0) x I
-    is the failing outcome.  Both act on the 4-amplitude vector (c00, c01, c10, c11).
+    is the failing outcome.  Both are 4x4 nested lists on (c00, c01, c10, c11).
     """
-    local = np.diag([abs(beta) / alpha, 1.0])
-    rest = np.eye(2) - local.T @ local
-    values, vectors = np.linalg.eigh(rest)
-    return (np.kron(local, np.eye(2)),
-            np.kron(vectors @ np.diag(np.sqrt(values)) @ vectors.T, np.eye(2)))
+    ratio = abs(beta) / alpha
+    identity = [[1.0, 0.0], [0.0, 1.0]]
+    return (_kron([[ratio, 0.0], [0.0, 1.0]], identity),
+            _kron([[math.sqrt(1.0 - ratio * ratio), 0.0], [0.0, 0.0]], identity))
 
 
-def schmidt_coefficients(amplitudes) -> np.ndarray:
+def schmidt_coefficients(amplitudes) -> list[float]:
     """Squared Schmidt coefficients of a two-qubit pure state, largest first.
 
-    They are the eigenvalues of Alice's reduced density matrix
-    rho_A = C C^T, where C[a, b] is the amplitude of |ab>.
+    They are the eigenvalues of Alice's reduced density matrix rho_A = C C^T =
+    [[p, r], [r, q]], C[a, b] the amplitude of |ab>: the larger is (p + q)/2 +
+    hypot((p - q)/2, r), the smaller det rho_A = (det C)^2 over the larger.
     """
-    c = np.asarray(amplitudes, dtype=float).reshape(2, 2)
-    return np.sort(np.linalg.eigvalsh(c @ c.T))[::-1]
+    c00, c01, c10, c11 = amplitudes
+    p, q, r = c00 * c00 + c01 * c01, c10 * c10 + c11 * c11, c00 * c10 + c01 * c11
+    larger = (p + q) / 2.0 + math.hypot((p - q) / 2.0, r)
+    return [larger, (c00 * c11 - c01 * c10) ** 2 / larger]
 
 
 def vidal_bound(source, target) -> float:
@@ -284,7 +282,7 @@ def vidal_bound(source, target) -> float:
     Both states are 4-amplitude vectors.
     """
     lam, mu = schmidt_coefficients(source), schmidt_coefficients(target)
-    return float(min(lam[l:].sum() / mu[l:].sum() for l in range(len(lam))))
+    return min(sum(lam[l:]) / sum(mu[l:]) for l in range(len(lam)))
 
 
 # Digits for the optimal-angle reference, beyond those its 1 - x loses: about

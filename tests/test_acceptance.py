@@ -105,10 +105,11 @@ def test_c07_concentration_strategy_is_dominated():
     ok = True
     for beta_sq in np.linspace(0.0, 0.5, 101):
         pair = SchmidtPair(math.sqrt(1.0 - beta_sq), -math.sqrt(beta_sq))
-        psi = np.array([pair.alpha, 0.0, 0.0, pair.beta])
-        filtered = procrustean_filter(pair.alpha, pair.beta)[0] @ psi
+        psi = [pair.alpha, 0.0, 0.0, pair.beta]
+        filtered = [sum(m * c for m, c in zip(row, psi))
+                    for row in procrustean_filter(pair.alpha, pair.beta)[0]]
         coin = concentration_success_probability(pair)
-        ok &= abs(filtered @ filtered - coin) < 1e-14
+        ok &= abs(sum(c * c for c in filtered) - coin) < 1e-14
         ok &= abs(vidal_bound(psi, target) - coin) < 1e-14
         direct = optimal_closed_form(pair).p_max
         concentrated = concentration_strategy_value(pair)

@@ -10,7 +10,8 @@ the measured bits (a, b) of the first 256 seeded
 at three states (one digit 4*a + 2*b + success per round), and seeded
 ``monte_carlo`` tallies.  Any change to the arithmetic, the draw order or
 the formatting shows up here.  The CLI calls and their comparison live in
-``tests/golden_cli.py``, which also checks the numpy-free ones on its own.
+``tests/golden_cli.py``, which also checks the numpy-free ones on its own and
+recomputes the sampled tallies with ``oracle_tallies``.
 Regenerate, only for an intended output change, with
 
     PYTHONPATH=src python tests/test_golden.py

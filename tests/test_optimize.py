@@ -30,6 +30,8 @@ CERTIFICATE_PAIRS = [pytest.param(SchmidtPair(math.cos(c), math.sin(c)), id=str(
 
 
 def test_aux_ratio_definition():
+    # the oracle's plain-Python grid is numpy.linspace's, bit for bit
+    assert [c.hex() for c in CHI_GRID] == [c.hex() for c in np.linspace(-math.pi / 4, 0.0, 33)]
     for chi in CHI_GRID:
         pair = make_shared_state(chi)
         ab = pair.alpha * pair.beta

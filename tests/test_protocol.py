@@ -19,7 +19,7 @@ from qccsim.protocol import (
 )
 from qccsim.optimize import optimal_closed_form
 from qccsim.state import SchmidtPair, epr_state, make_shared_state
-from oracles import (COS2_PI8, EPR_ANGLES, four_angle_win, kron_rotate, oracle_tallies,
+from oracles import (COS2_PI8, EPR_ANGLES, four_angle_win, oracle_tallies, outcome_probabilities,
                      pcg64_words, success_probability_full_input)
 
 
@@ -104,7 +104,7 @@ def test_outcome_table_matches_kron_oracle():
         phi = rng.uniform(-math.pi, math.pi, size=2).tolist()
         table = _outcome_table(alpha, beta, *phi)
         for row, (x0, y0) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-            want = kron_rotate([alpha, 0.0, 0.0, beta], phi[x0], phi[y0]) ** 2
+            want = outcome_probabilities(alpha, beta, phi[x0], phi[y0])
             np.testing.assert_allclose(table[row], want, rtol=0.0, atol=1e-12)
 
 

@@ -81,6 +81,9 @@ MUTANTS = [
       "(1.0 - estimate) / (trials - 1)"),
     M("monte_carlo.counts_key", "protocol", "(row >> 1, row & 1)", "(row & 1, row >> 1)"),
     M("monte_carlo.trials_check", "protocol", "if trials < 1:", "if trials < 0:"),
+    # frees the old rows before this chunk's words are read: the same peak, more page faults
+    M("monte_carlo.free_order", "protocol", "words = inputs.random_raw(n)",
+      "row = words = inputs.random_raw(n)"),
     M("input_rows.x_bit", "protocol", "(words >> u64(29))", "(words >> u64(30))"),
     M("input_rows.y_bit", "protocol", "(words >> u64(62))", "(words >> u64(63))"),
     M("angle_set.finite", "protocol", "math.isfinite(phi1) and math.isfinite(phi2)",
