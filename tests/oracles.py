@@ -8,9 +8,8 @@ strategy; a strategy where both parties share (phi1, phi2) passes them twice.
 
 The module is also the one home of the reference values several test files
 check against.  ``pcg64_words`` is numpy's PCG64 stream in plain Python, and
-``oracle_tallies`` reads ``monte_carlo``'s draw order off it, which lets
-``tests/golden_cli.py`` recheck the golden tallies without numpy.  numpy is
-imported only inside the classical brute-force helpers.
+``oracle_tallies`` reads ``monte_carlo``'s draw order off it, so ``tests/golden_cli.py``
+rechecks the golden tallies without numpy, which only the brute-force helpers import.
 """
 
 import functools
@@ -25,8 +24,7 @@ EPR_ANGLES = (-math.pi / 16, 3 * math.pi / 16)
 # Concentrate-then-play wins 3/4 + SLOPE * beta^2: with probability 2 beta^2 it
 # holds the maximal pair and wins COS2_PI8, else 3/4.
 SLOPE = 2.0 * COS2_PI8 - 1.5
-# 33 canonical states, chi from -pi/4 (the maximal pair) to 0 (a product state), by
-# numpy.linspace's recipe: point i is i * step + start, and the last point is the stop.
+# 33 canonical states from chi = -pi/4 (maximal pair) to 0 (product state), numpy.linspace's points
 CHI_GRID = [i * (math.pi / 4 / 32) - math.pi / 4 for i in range(32)] + [0.0]
 
 
@@ -146,7 +144,12 @@ def _seed_sequence_pool(seed: int) -> list[int]:
     hashed into the pool, then every pool word is mixed into every other,
     then any words beyond the fourth are mixed in.
     """
-    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words = []
+    while True:
+        words.append(seed & _M32)
+        seed >>= 32
+        if not seed:
+            break
     hash_const = 0x43B0D7E5
 
     def hashmix(value):
@@ -233,9 +236,8 @@ def horodecki_bound(alpha: float, beta: float) -> float:
     CHSH, won with probability 1/2 + B/8 for CHSH value B.  By the Horodecki
     criterion (Phys. Lett. A 200, 340 (1995)) the largest B over all
     projective measurements is 2 sqrt(s1^2 + s2^2), where s1 >= s2 are the
-    top singular values of the correlation matrix T_ij = <sigma_i x sigma_j>.
-    On this state every off-diagonal T_ij is a sum of two terms that cancel
-    exactly, so T is diagonal and its singular values are the |T_ii|.
+    top singular values of the correlation matrix T_ij = <sigma_i x sigma_j>: here the
+    |T_ii|, as each off-diagonal T_ij is two terms that cancel exactly on this state.
     """
     paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
     psi = [complex(alpha), 0j, 0j, complex(beta)]

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import platform
 import re
 import sys
 import tracemalloc
@@ -371,5 +372,11 @@ def test_simulate_process_memory_does_not_grow_with_trials():
     # a 2-core VM, and a 4e6-trial call ran about 16% slower.
     (small, small_faults), (large, large_faults) = _simulate_usage(10**5), _simulate_usage(10**7)
     assert large - small <= 2 * 1024, f"peak RSS {small} KiB at 1e5 trials, {large} KiB at 1e7"
-    assert large_faults - small_faults <= 1000, (
-        f"{small_faults} minor faults at 1e5 trials, {large_faults} at 1e7")
+    # The fault bound assumes glibc malloc's dynamic mmap threshold: a chunk's arrays are 128 KiB,
+    # glibc's default threshold, and come from the heap only once the first freed one has raised
+    # it.  Tuning variables, a preloaded allocator or another libc can map every chunk afresh.
+    tuned = [name for name in python_env()
+             if name.startswith("MALLOC_") or name in ("GLIBC_TUNABLES", "LD_PRELOAD")]
+    if platform.libc_ver()[0] == "glibc" and not tuned:
+        assert large_faults - small_faults <= 1000, (
+            f"{small_faults} minor faults at 1e5 trials, {large_faults} at 1e7")

@@ -76,7 +76,8 @@ def test_horodecki_certificate_equals_p_max(pair):
     alpha, beta = pair
     assert abs(horodecki_bound(alpha, beta) - p_max_formula(alpha, beta)) <= 1e-12
     # The package's bound writes the correlation matrix out from the amplitudes;
-    # the oracle builds it from Pauli matrices and takes its singular values.
+    # the oracle builds T from Pauli matrices, asserts that T is diagonal and takes
+    # the two largest |T_ii|.
     assert abs(_correlation_bound(pair) - horodecki_bound(alpha, beta)) <= 1e-15
 
 
