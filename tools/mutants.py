@@ -170,7 +170,7 @@ MUTANTS = [
 
 
 def _copy(dest: Path) -> None:
-    skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    skip = shutil.ignore_patterns("__pycache__")
     for name in ("src", "tests", "demos"):
         shutil.copytree(ROOT / name, dest / name, ignore=skip)
     shutil.copy2(ROOT / "pyproject.toml", dest)
